@@ -17,6 +17,11 @@
 // committing writer (DESIGN.md §5.7). The reader p99 gap between the two
 // rows is the point of the WAL.
 //
+// Every row also carries frames_per_req: the server's frame-counter delta
+// over the phase divided by its requests (rows, for the scan). A cached
+// point SELECT is one EXECUTE frame, so the point rows read just above 1.00
+// (each client's HELLO and PREPARE ride on top).
+//
 // PT_SERVER_JSON=<path>: also emit the cells as JSON (one object per row)
 // for scripts/bench_smoke.sh and before/after comparisons.
 #include <algorithm>
@@ -53,7 +58,19 @@ struct Cell {
   double throughput = 0.0;  // requests (rows) per second, all clients summed
   double p50_us = 0.0;
   double p99_us = 0.0;
+  double frames_per_req = 0.0;  // server frames served / requests
 };
+
+/// Server frames served so far (request frames; one per round trip).
+std::uint64_t framesServed(const server::PtServer& srv) {
+  return srv.counters().frames_served.load(std::memory_order_relaxed);
+}
+
+void setFramesPerReq(Cell& cell, std::uint64_t frames) {
+  cell.frames_per_req =
+      cell.requests > 0 ? static_cast<double>(frames) / static_cast<double>(cell.requests)
+                        : 0.0;
+}
 
 double percentile(std::vector<double>& samples, double p) {
   if (samples.empty()) return 0.0;
@@ -63,7 +80,8 @@ double percentile(std::vector<double>& samples, double p) {
 }
 
 /// N clients, each looping a prepared point SELECT until the budget expires.
-Cell runPointQueries(const std::string& url, int clients) {
+Cell runPointQueries(const server::PtServer& srv, const std::string& url, int clients) {
+  const std::uint64_t frames0 = framesServed(srv);
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> total{0};
   std::vector<std::vector<double>> latencies(clients);
@@ -101,11 +119,13 @@ Cell runPointQueries(const std::string& url, int clients) {
   cell.throughput = static_cast<double>(cell.requests) / seconds;
   cell.p50_us = percentile(all, 0.50);
   cell.p99_us = percentile(all, 0.99);
+  setFramesPerReq(cell, framesServed(srv) - frames0);
   return cell;
 }
 
 /// One client streaming the whole table through FETCH batches.
-Cell runScan(const std::string& url) {
+Cell runScan(const server::PtServer& srv, const std::string& url) {
+  const std::uint64_t frames0 = framesServed(srv);
   auto conn = dbal::Connection::open(url);
   util::Timer timer;
   auto cur = conn->query("SELECT id, value FROM result");
@@ -118,6 +138,7 @@ Cell runScan(const std::string& url) {
   cell.requests = rows;
   cell.seconds = timer.elapsedSeconds();
   cell.throughput = static_cast<double>(rows) / cell.seconds;
+  setFramesPerReq(cell, framesServed(srv) - frames0);
   return cell;
 }
 
@@ -154,6 +175,7 @@ Cell runReadDuringCommit(minidb::Durability durability, const std::string& db_pa
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> total{0};
   std::atomic<std::int64_t> commits{0};
+  const std::uint64_t frames0 = framesServed(srv);
   std::vector<std::vector<double>> latencies(readers);
   std::vector<std::thread> threads;
   util::Timer timer;
@@ -195,6 +217,7 @@ Cell runReadDuringCommit(minidb::Durability durability, const std::string& db_pa
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
   const double seconds = timer.elapsedSeconds();
+  const std::uint64_t frames = framesServed(srv) - frames0;
   srv.stop();
 
   std::vector<double> all;
@@ -208,6 +231,9 @@ Cell runReadDuringCommit(minidb::Durability durability, const std::string& db_pa
   cell.throughput = static_cast<double>(cell.requests) / seconds;
   cell.p50_us = percentile(all, 0.50);
   cell.p99_us = percentile(all, 0.99);
+  // Readers' frames plus the writer's and any BUSY retries: the wire cost
+  // per completed read.
+  setFramesPerReq(cell, frames);
   std::printf("  (%s: writer landed %lld commits)\n", cell.phase.c_str(),
               static_cast<long long>(commits.load()));
   return cell;
@@ -221,7 +247,8 @@ void writeJson(const std::string& path, const std::vector<Cell>& cells) {
     out << "  {\"phase\": \"" << c.phase << "\", \"clients\": " << c.clients
         << ", \"requests\": " << c.requests << ", \"seconds\": " << c.seconds
         << ", \"per_second\": " << c.throughput << ", \"p50_us\": " << c.p50_us
-        << ", \"p99_us\": " << c.p99_us << "}"
+        << ", \"p99_us\": " << c.p99_us
+        << ", \"frames_per_req\": " << c.frames_per_req << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
   out << "]\n";
@@ -251,12 +278,12 @@ int main() {
   }
 
   std::vector<Cell> cells;
-  std::printf("%-24s %8s %10s %10s %12s %10s %10s\n", "phase", "clients",
-              "requests", "seconds", "per_second", "p50_us", "p99_us");
+  std::printf("%-24s %8s %10s %10s %12s %10s %10s %10s\n", "phase", "clients",
+              "requests", "seconds", "per_second", "p50_us", "p99_us", "frames/req");
   for (const int clients : {1, 4, 8}) {
-    cells.push_back(runPointQueries(url, clients));
+    cells.push_back(runPointQueries(srv, url, clients));
   }
-  cells.push_back(runScan(url));
+  cells.push_back(runScan(srv, url));
   {
     // Snapshot reads vs the exclusive gate, under a committing writer.
     util::TempDir dir("pt_bench_srv");
@@ -266,9 +293,9 @@ int main() {
                                         dir.file("wal.db").string(), 4));
   }
   for (const Cell& c : cells) {
-    std::printf("%-24s %8d %10lld %10.3f %12.0f %10.1f %10.1f\n",
+    std::printf("%-24s %8d %10lld %10.3f %12.0f %10.1f %10.1f %10.4f\n",
                 c.phase.c_str(), c.clients, static_cast<long long>(c.requests),
-                c.seconds, c.throughput, c.p50_us, c.p99_us);
+                c.seconds, c.throughput, c.p50_us, c.p99_us, c.frames_per_req);
   }
 
   if (const char* json = std::getenv("PT_SERVER_JSON")) {

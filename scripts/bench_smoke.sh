@@ -26,7 +26,9 @@
 #                     (requests/s and p50/p99 latency, plus a streamed scan
 #                     and the read_during_commit_{full,wal} pair: reader
 #                     stall behind a committing writer, exclusive gate vs
-#                     WAL snapshot reads)
+#                     WAL snapshot reads); every row carries frames_per_req,
+#                     the server frames per request, and the smoke fails
+#                     without it
 #   BENCH_obs.json    observability overhead A/B from bench_obs (tracing
 #                     on/off ns per point-SELECT, overhead %, 2% budget)
 #   BENCH_resource_match.json
@@ -125,6 +127,12 @@ PT_SERVER_JSON="$out_dir/BENCH_server.json" \
   PT_METRICS_SNAPSHOT="$out_dir/METRICS_server.prom" \
   "$bench_dir/bench_server"
 check_snapshot "$out_dir/METRICS_server.prom"
+# Unlike the numbers, the frames_per_req field itself is required.
+if ! grep -q '"phase"' "$out_dir/BENCH_server.json" ||
+   grep '"phase"' "$out_dir/BENCH_server.json" | grep -vq '"frames_per_req": '; then
+  echo "bench_smoke: BENCH_server.json rows must all carry frames_per_req" >&2
+  exit 1
+fi
 
 echo "== bench_obs =="
 PT_OBS_JSON="$out_dir/BENCH_obs.json" \

@@ -22,7 +22,9 @@
 // --timing (first flag) prints the client-observed stage breakdown of the
 // last query — parse/plan/bind/execute spans, rows — to stderr on exit.
 // It reports the same spans for local files and --connect runs (remote
-// spans are marked, and execute covers the streamed fetches).
+// spans are marked, and execute covers the streamed fetches). A remote bind
+// span is client-side encoding only: the parameters travel inside the
+// EXECUTE round trip, which execute covers.
 #include <cctype>
 #include <cstdio>
 #include <cstring>

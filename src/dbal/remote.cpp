@@ -40,6 +40,55 @@ using server::WireWriter;
   }
 }
 
+/// Row budget for exec(): the result is materialized anyway, so ask for the
+/// server's largest batch (the server clamps the request).
+constexpr std::uint32_t kLargestBatch = 0xffffffffu;
+
+/// EXECUTE {stmt_id, max_rows, params}: one frame binds and runs the
+/// statement, and returns its first batch of rows.
+Frame executeRequest(std::uint32_t stmt_id, std::uint32_t max_rows,
+                     const std::vector<minidb::Value>& params) {
+  WireWriter w;
+  w.u32(stmt_id);
+  w.u32(max_rows);
+  w.row(params);
+  return server::makeFrame(Op::Execute, std::move(w));
+}
+
+std::vector<std::string> readColumns(WireReader& r) {
+  const std::uint32_t ncols = r.u32();
+  std::vector<std::string> columns;
+  columns.reserve(ncols);
+  for (std::uint32_t i = 0; i < ncols; ++i) columns.push_back(r.str());
+  return columns;
+}
+
+/// Decodes one batch {u8 done, u32 nrows, rows...} — a ROWS payload or the
+/// tail of CURSOR_OK / DIFF_OK — handing each row to `each`; returns done.
+template <typename Each>
+bool readBatch(WireReader& r, Each&& each) {
+  const bool done = r.u8() != 0;
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t i = 0; i < n; ++i) each(r.row());
+  return done;
+}
+
+core::diag::Row diffRow(const minidb::Row& row) {
+  if (row.size() < 8) {
+    throw NetError("malformed DIFF row (expected 8 columns, got " +
+                   std::to_string(row.size()) + ")");
+  }
+  core::diag::Row d;
+  d.metric = row[1].asText();
+  d.context = row[2].asText();
+  d.value_a = row[3].asReal();
+  d.value_b = row[4].asReal();
+  d.has_ratio = !row[6].isNull();
+  if (d.has_ratio) d.ratio = row[6].asReal();
+  d.contribution_pct = row[7].asReal();
+  return d;
+}
+
 }  // namespace
 
 // --- Wire --------------------------------------------------------------------
@@ -81,6 +130,24 @@ struct RemoteConnection::Wire {
     }
     return response;
   }
+
+  /// FETCH round trip for the next batch of an open server-side cursor.
+  Frame fetch(std::uint32_t cursor_id, std::uint32_t max_rows) {
+    WireWriter w;
+    w.u32(cursor_id);
+    w.u32(max_rows);
+    return expect(server::makeFrame(Op::Fetch, std::move(w)), Op::Rows);
+  }
+
+  /// Fetches the rest of an open cursor, handing each row to `each`.
+  template <typename Each>
+  void drain(std::uint32_t cursor_id, std::uint32_t max_rows, Each&& each) {
+    for (bool done = false; !done;) {
+      const Frame batch = fetch(cursor_id, max_rows);
+      WireReader r(batch.payload);
+      done = readBatch(r, each);
+    }
+  }
 };
 
 // --- StmtHandle --------------------------------------------------------------
@@ -92,6 +159,11 @@ struct RemoteConnection::StmtHandle {
   minidb::sql::Statement::Kind kind = minidb::sql::Statement::Kind::Select;
   bool cursor_open = false;  // a RemoteCursorImpl is streaming this handle
   bool cached = false;       // temporaries are closed when their use ends
+
+  /// Closes a temporary statement once its use ends; cached ones stay.
+  void releaseIfTemporary() {
+    if (!cached) closeRemote();
+  }
 
   /// Best-effort server-side release; the wire may already be gone.
   void closeRemote() {
@@ -107,26 +179,32 @@ struct RemoteConnection::StmtHandle {
 
 // --- RemoteCursorImpl --------------------------------------------------------
 
-/// Streams a server-side cursor in bounded batches. The handle's busy flag
-/// stays set while the server-side cursor is open, which is what triggers
-/// the temporary-statement fallback for interleaved exec()/query() calls.
+/// Streams a result whose first batch arrived inline with EXECUTE; the
+/// rest, if any, comes in bounded FETCH batches. While the server-side
+/// cursor is open the handle's busy flag stays set, which is what triggers
+/// the temporary-statement fallback for interleaved exec()/query() calls;
+/// a result that arrived complete holds no handle and no server cursor.
 class RemoteCursorImpl final : public Cursor::Impl {
  public:
   RemoteCursorImpl(std::shared_ptr<RemoteConnection::Wire> wire,
                    std::shared_ptr<RemoteConnection::StmtHandle> stmt,
-                   std::uint32_t cursor_id, std::vector<std::string> columns)
+                   std::uint32_t cursor_id, std::vector<std::string> columns,
+                   std::deque<minidb::Row> first_batch, bool done)
       : wire_(std::move(wire)),
         stmt_(std::move(stmt)),
         cursor_id_(cursor_id),
-        columns_(std::move(columns)) {}
+        columns_(std::move(columns)),
+        buffer_(std::move(first_batch)),
+        server_done_(done) {}
 
   /// Arms client-side span recording: the trace (prepare/bind spans already
-  /// filled by the connection) is completed with the streaming wall time and
-  /// row count when the cursor closes.
-  void arm(obs::QueryTrace trace) {
+  /// filled by the connection) is completed with the wall time since
+  /// `exec_timer` started (EXECUTE sent) and the row count when the cursor
+  /// closes.
+  void arm(obs::QueryTrace trace, obs::StageTimer exec_timer) {
     traced_ = true;
     trace_ = std::move(trace);
-    exec_timer_ = obs::StageTimer();
+    exec_timer_ = exec_timer;
   }
 
   ~RemoteCursorImpl() override {
@@ -165,11 +243,8 @@ class RemoteCursorImpl final : public Cursor::Impl {
     }
     // Empty ROWS responses imply done, so this terminates in one round trip.
     while (batch.nrows == 0 && !server_done_) {
-      WireWriter w;
-      w.u32(cursor_id_);
-      w.u32(cap > 0xffffffffu ? 0 : static_cast<std::uint32_t>(cap));
-      Frame response = wire_->expect(server::makeFrame(Op::Fetch, std::move(w)),
-                                     Op::Rows);
+      const Frame response = wire_->fetch(
+          cursor_id_, cap > 0xffffffffu ? 0 : static_cast<std::uint32_t>(cap));
       WireReader r(response.payload);
       server_done_ = r.u8() != 0;
       const std::uint32_t n = r.u32();
@@ -218,15 +293,10 @@ class RemoteCursorImpl final : public Cursor::Impl {
 
  private:
   void refill() {
-    WireWriter w;
-    w.u32(cursor_id_);
-    w.u32(0);  // 0 = server default batch size
-    Frame response = wire_->expect(server::makeFrame(Op::Fetch, std::move(w)),
-                                   Op::Rows);
+    const Frame response = wire_->fetch(cursor_id_, 0);  // 0 = server default
     WireReader r(response.payload);
-    server_done_ = r.u8() != 0;
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) buffer_.push_back(r.row());
+    server_done_ =
+        readBatch(r, [this](minidb::Row row) { buffer_.push_back(std::move(row)); });
     // The server closed its cursor at exhaustion, so the statement is
     // reusable even while we drain the tail of the buffer.
     if (server_done_) releaseStmt();
@@ -235,7 +305,7 @@ class RemoteCursorImpl final : public Cursor::Impl {
   void releaseStmt() {
     if (stmt_ == nullptr) return;
     stmt_->cursor_open = false;
-    if (!stmt_->cached) stmt_->closeRemote();
+    stmt_->releaseIfTemporary();
     stmt_.reset();
   }
 
@@ -312,164 +382,142 @@ std::shared_ptr<RemoteConnection::StmtHandle> RemoteConnection::stmtFor(
   return prepareRemote(sql, /*cache=*/true);
 }
 
-void RemoteConnection::bindRemote(const std::shared_ptr<StmtHandle>& stmt,
-                                  std::vector<minidb::Value> params) {
-  WireWriter w;
-  w.u32(stmt->id);
-  w.u32(static_cast<std::uint32_t>(params.size()));
-  for (const minidb::Value& v : params) w.value(v);
-  wire_->expect(server::makeFrame(Op::Bind, std::move(w)), Op::BindOk);
-}
-
-ResultSet RemoteConnection::runToResult(const std::shared_ptr<StmtHandle>& stmt) {
-  WireWriter w;
-  w.u32(stmt->id);
-  Frame response = wire_->roundtrip(server::makeFrame(Op::Execute, std::move(w)));
+ResultSet RemoteConnection::runToResult(const std::shared_ptr<StmtHandle>& stmt,
+                                        const Frame& request) {
+  const Frame response = wire_->roundtrip(request);
   if (response.op == Op::Error) {
-    if (!stmt->cached) stmt->closeRemote();
+    stmt->releaseIfTemporary();
     throwServerError(response);
   }
-
   ResultSet rs;
+  WireReader r(response.payload);
   if (response.op == Op::ResultOk) {
-    WireReader r(response.payload);
     rs.rows_affected = r.i64();
     rs.last_insert_id = r.i64();
-    if (!stmt->cached) stmt->closeRemote();
-    return rs;
-  }
-  if (response.op != Op::CursorOk) {
+  } else if (response.op == Op::CursorOk) {
+    // exec() of a SELECT materializes, like the local backend: the inline
+    // first batch, then any further batches the server still holds.
+    const std::uint32_t cursor_id = r.u32();
+    rs.columns = readColumns(r);
+    auto keep = [&rs](minidb::Row row) { rs.rows.push_back(std::move(row)); };
+    if (!readBatch(r, keep)) wire_->drain(cursor_id, kLargestBatch, keep);
+  } else {
     throw NetError(std::string("protocol mismatch: expected RESULT_OK or "
                                "CURSOR_OK, got ") +
                    std::string(server::opName(response.op)));
   }
-
-  // exec() of a SELECT materializes, like the local backend: drain the
-  // server-side cursor batch by batch into the ResultSet.
-  WireReader r(response.payload);
-  const std::uint32_t cursor_id = r.u32();
-  const std::uint32_t ncols = r.u32();
-  rs.columns.reserve(ncols);
-  for (std::uint32_t i = 0; i < ncols; ++i) rs.columns.push_back(r.str());
-
-  bool done = false;
-  while (!done) {
-    WireWriter fw;
-    fw.u32(cursor_id);
-    fw.u32(0);
-    Frame batch = wire_->expect(server::makeFrame(Op::Fetch, std::move(fw)),
-                                Op::Rows);
-    WireReader br(batch.payload);
-    done = br.u8() != 0;
-    const std::uint32_t n = br.u32();
-    for (std::uint32_t i = 0; i < n; ++i) rs.rows.push_back(br.row());
-  }
-  if (!stmt->cached) stmt->closeRemote();
+  stmt->releaseIfTemporary();
   return rs;
 }
 
 Cursor RemoteConnection::openRemoteCursor(std::shared_ptr<StmtHandle> stmt,
+                                          const Frame& request,
                                           obs::QueryTrace* trace) {
-  WireWriter w;
-  w.u32(stmt->id);
+  const obs::StageTimer exec_timer;
   Frame response;
   try {
-    response = wire_->expect(server::makeFrame(Op::Execute, std::move(w)),
-                             Op::CursorOk);
+    response = wire_->expect(request, Op::CursorOk);
   } catch (...) {
-    if (!stmt->cached) stmt->closeRemote();
+    stmt->releaseIfTemporary();
     throw;
   }
   WireReader r(response.payload);
   const std::uint32_t cursor_id = r.u32();
-  const std::uint32_t ncols = r.u32();
-  std::vector<std::string> columns;
-  columns.reserve(ncols);
-  for (std::uint32_t i = 0; i < ncols; ++i) columns.push_back(r.str());
-  stmt->cursor_open = true;
-  auto impl = std::make_unique<RemoteCursorImpl>(wire_, std::move(stmt),
-                                                 cursor_id, std::move(columns));
-  if (trace != nullptr) impl->arm(std::move(*trace));
+  std::vector<std::string> columns = readColumns(r);
+  std::deque<minidb::Row> first_batch;
+  const bool done =
+      readBatch(r, [&first_batch](minidb::Row row) { first_batch.push_back(std::move(row)); });
+  if (done) {
+    // The server already closed its cursor: the statement is free again.
+    stmt->releaseIfTemporary();
+    stmt.reset();
+  } else {
+    stmt->cursor_open = true;
+  }
+  auto impl = std::make_unique<RemoteCursorImpl>(wire_, std::move(stmt), cursor_id,
+                                                 std::move(columns),
+                                                 std::move(first_batch), done);
+  if (trace != nullptr) impl->arm(std::move(*trace), exec_timer);
   return Cursor(std::move(impl));
 }
 
-ResultSet RemoteConnection::exec(std::string_view sql) {
-  const bool traced = obs::Tracer::global().shouldSample();
-  const obs::StageTimer prep_timer;
+std::shared_ptr<RemoteConnection::StmtHandle> RemoteConnection::usableStmt(
+    std::string_view sql, bool has_params, const char* params_api) {
   auto stmt = stmtFor(sql);
-  if (stmt->param_count > 0) {
+  if (!has_params && stmt->param_count > 0) {
+    stmt->releaseIfTemporary();
     throw util::SqlError("statement has " + std::to_string(stmt->param_count) +
-                         " '?' parameter(s); use execPrepared()");
+                         " '?' parameter(s); use " + params_api);
   }
-  if (!traced) return runToResult(stmt);
-  obs::QueryTrace t;
-  t.sql = std::string(sql);
-  t.remote = true;
-  t.parse_us = prep_timer.elapsedUs();
-  const obs::StageTimer exec_timer;
-  ResultSet rs = runToResult(stmt);
-  t.exec_us = exec_timer.elapsedUs();
-  t.rows = rs.rows.empty() && rs.rows_affected > 0
-               ? static_cast<std::uint64_t>(rs.rows_affected)
-               : rs.rows.size();
-  obs::Tracer::global().record(std::move(t));
-  return rs;
+  return stmt;
 }
 
-ResultSet RemoteConnection::execPrepared(std::string_view sql,
-                                         std::vector<minidb::Value> params) {
+ResultSet RemoteConnection::execute(std::string_view sql,
+                                    const std::vector<minidb::Value>& params,
+                                    bool has_params) {
   const bool traced = obs::Tracer::global().shouldSample();
   const obs::StageTimer prep_timer;
-  auto stmt = stmtFor(sql);
-  obs::QueryTrace t;
-  t.parse_us = traced ? prep_timer.elapsedUs() : 0;
-  const obs::StageTimer bind_timer;
-  bindRemote(stmt, std::move(params));
-  if (!traced) return runToResult(stmt);
-  t.sql = std::string(sql);
-  t.remote = true;
-  t.bind_us = bind_timer.elapsedUs();
-  const obs::StageTimer exec_timer;
-  ResultSet rs = runToResult(stmt);
-  t.exec_us = exec_timer.elapsedUs();
-  t.rows = rs.rows.empty() && rs.rows_affected > 0
-               ? static_cast<std::uint64_t>(rs.rows_affected)
-               : rs.rows.size();
-  obs::Tracer::global().record(std::move(t));
-  return rs;
-}
-
-Cursor RemoteConnection::query(std::string_view sql) {
-  const bool traced = obs::Tracer::global().shouldSample();
-  const obs::StageTimer prep_timer;
-  auto stmt = stmtFor(sql);
-  if (stmt->param_count > 0) {
-    throw util::SqlError("statement has " + std::to_string(stmt->param_count) +
-                         " '?' parameter(s); use query(sql, params)");
-  }
-  if (!traced) return openRemoteCursor(std::move(stmt), nullptr);
-  obs::QueryTrace t;
-  t.sql = std::string(sql);
-  t.remote = true;
-  t.parse_us = prep_timer.elapsedUs();
-  return openRemoteCursor(std::move(stmt), &t);
-}
-
-Cursor RemoteConnection::query(std::string_view sql,
-                               std::vector<minidb::Value> params) {
-  const bool traced = obs::Tracer::global().shouldSample();
-  const obs::StageTimer prep_timer;
-  auto stmt = stmtFor(sql);
+  auto stmt = usableStmt(sql, has_params, "execPrepared()");
   const std::uint64_t parse_us = traced ? prep_timer.elapsedUs() : 0;
   const obs::StageTimer bind_timer;
-  bindRemote(stmt, std::move(params));
-  if (!traced) return openRemoteCursor(std::move(stmt), nullptr);
+  const Frame request = executeRequest(stmt->id, kLargestBatch, params);
+  if (!traced) return runToResult(stmt, request);
   obs::QueryTrace t;
   t.sql = std::string(sql);
   t.remote = true;
   t.parse_us = parse_us;
+  // Binding travels inside the EXECUTE round trip; the client-side span is
+  // the encoding only.
   t.bind_us = bind_timer.elapsedUs();
-  return openRemoteCursor(std::move(stmt), &t);
+  const obs::StageTimer exec_timer;
+  ResultSet rs = runToResult(stmt, request);
+  t.exec_us = exec_timer.elapsedUs();
+  t.rows = rs.rows.empty() && rs.rows_affected > 0
+               ? static_cast<std::uint64_t>(rs.rows_affected)
+               : rs.rows.size();
+  obs::Tracer::global().record(std::move(t));
+  return rs;
+}
+
+Cursor RemoteConnection::openQuery(std::string_view sql,
+                                   const std::vector<minidb::Value>& params,
+                                   bool has_params) {
+  const bool traced = obs::Tracer::global().shouldSample();
+  const obs::StageTimer prep_timer;
+  auto stmt = usableStmt(sql, has_params, "query(sql, params)");
+  if (stmt->kind != minidb::sql::Statement::Kind::Select) {
+    // Same refusal as the local backend, before anything runs server-side.
+    stmt->releaseIfTemporary();
+    throw util::SqlError("openCursor: statement is not a SELECT");
+  }
+  const std::uint64_t parse_us = traced ? prep_timer.elapsedUs() : 0;
+  const obs::StageTimer bind_timer;
+  const Frame request = executeRequest(stmt->id, 0, params);  // 0 = default batch
+  if (!traced) return openRemoteCursor(std::move(stmt), request, nullptr);
+  obs::QueryTrace t;
+  t.sql = std::string(sql);
+  t.remote = true;
+  t.parse_us = parse_us;
+  t.bind_us = bind_timer.elapsedUs();  // encoding only, as in execute()
+  return openRemoteCursor(std::move(stmt), request, &t);
+}
+
+ResultSet RemoteConnection::exec(std::string_view sql) {
+  return execute(sql, {}, /*has_params=*/false);
+}
+
+ResultSet RemoteConnection::execPrepared(std::string_view sql,
+                                         std::vector<minidb::Value> params) {
+  return execute(sql, params, /*has_params=*/true);
+}
+
+Cursor RemoteConnection::query(std::string_view sql) {
+  return openQuery(sql, {}, /*has_params=*/false);
+}
+
+Cursor RemoteConnection::query(std::string_view sql,
+                               std::vector<minidb::Value> params) {
+  return openQuery(sql, params, /*has_params=*/true);
 }
 
 void RemoteConnection::begin() {
@@ -494,8 +542,7 @@ core::diag::Report RemoteConnection::diff(const core::diag::Request& request) {
   core::diag::Report report;
   report.request = request;
   const std::uint32_t cursor_id = r.u32();
-  const std::uint32_t ncols = r.u32();
-  for (std::uint32_t i = 0; i < ncols; ++i) r.str();  // fixed Report::columns()
+  readColumns(r);  // fixed Report::columns()
   report.stats.results_a = r.u64();
   report.stats.results_b = r.u64();
   report.stats.aligned = r.u64();
@@ -505,35 +552,11 @@ core::diag::Report RemoteConnection::diff(const core::diag::Request& request) {
   report.stats.zero_baseline = r.u64();
   report.stats.diff_us = r.u64();
 
-  // The ranked rows are bounded (top-K or the divergent count), so draining
-  // them into the report mirrors the local engine's materialized result.
-  bool done = false;
-  while (!done) {
-    WireWriter fw;
-    fw.u32(cursor_id);
-    fw.u32(0);
-    Frame batch =
-        wire_->expect(server::makeFrame(Op::Fetch, std::move(fw)), Op::Rows);
-    WireReader br(batch.payload);
-    done = br.u8() != 0;
-    const std::uint32_t n = br.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const minidb::Row row = br.row();
-      if (row.size() < 8) {
-        throw NetError("malformed DIFF row (expected 8 columns, got " +
-                       std::to_string(row.size()) + ")");
-      }
-      core::diag::Row d;
-      d.metric = row[1].asText();
-      d.context = row[2].asText();
-      d.value_a = row[3].asReal();
-      d.value_b = row[4].asReal();
-      d.has_ratio = !row[6].isNull();
-      if (d.has_ratio) d.ratio = row[6].asReal();
-      d.contribution_pct = row[7].asReal();
-      report.rows.push_back(std::move(d));
-    }
-  }
+  // The ranked rows are bounded (top-K or the divergent count) and usually
+  // arrive whole inside DIFF_OK; draining any rest into the report mirrors
+  // the local engine's materialized result.
+  auto keep = [&report](minidb::Row row) { report.rows.push_back(diffRow(row)); };
+  if (!readBatch(r, keep)) wire_->drain(cursor_id, 0, keep);
   return report;
 }
 

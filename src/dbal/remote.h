@@ -10,9 +10,12 @@
 //     each mutating statement in its own journal-protected commit);
 //   * statements are cached server-side, keyed client-side by SQL text;
 //     the cache introspection surface reports the remote handle count;
-//   * SELECT cursors stream bounded row batches (FETCH) from a server-side
-//     cursor holding a shared lock on the store, so results of any size
-//     arrive in constant client memory.
+//   * one statement is one round trip: EXECUTE carries the parameters and
+//     the reply carries the first batch of rows, so a result that fits one
+//     batch needs no FETCH and leaves no server-side cursor behind;
+//   * larger SELECT results stream bounded row batches (FETCH) from a
+//     server-side cursor holding a shared lock on the store, so results of
+//     any size arrive in constant client memory.
 //
 // Like the local backend, a statement whose server-side cursor is still
 // streaming is never re-entered: exec()/execPrepared()/query() on a busy
@@ -28,6 +31,10 @@
 #include "dbal/connection.h"
 #include "minidb/sql/ast.h"
 #include "obs/trace.h"
+
+namespace perftrack::server {
+struct Frame;
+}  // namespace perftrack::server
 
 namespace perftrack::dbal {
 
@@ -77,7 +84,8 @@ class RemoteConnection final : public Connection {
   bool inTransaction() const override { return false; }
 
   /// DIFF round trip: the server runs the core::diag engine against its
-  /// store and streams the ranked rows back through FETCH; the decoded
+  /// store and returns the ranked rows inline (FETCH only for the rest of
+  /// an unusually long report); the decoded
   /// Report (stats + full-fidelity REAL rows) renders byte-identically to a
   /// local diff over the same store.
   core::diag::Report diff(const core::diag::Request& request) override;
@@ -124,13 +132,22 @@ class RemoteConnection final : public Connection {
   /// temporary handle instead.
   std::shared_ptr<StmtHandle> stmtFor(std::string_view sql);
   std::shared_ptr<StmtHandle> prepareRemote(std::string_view sql, bool cache);
-  ResultSet runToResult(const std::shared_ptr<StmtHandle>& stmt);
+  /// stmtFor, refusing parameterized SQL when the caller passed none (the
+  /// message names `params_api`, the overload to use instead).
+  std::shared_ptr<StmtHandle> usableStmt(std::string_view sql, bool has_params,
+                                         const char* params_api);
+  /// exec()/execPrepared(): one EXECUTE, draining any further batches.
+  ResultSet execute(std::string_view sql, const std::vector<minidb::Value>& params,
+                    bool has_params);
+  /// query() overloads: one EXECUTE, the first batch fills the cursor.
+  Cursor openQuery(std::string_view sql, const std::vector<minidb::Value>& params,
+                   bool has_params);
+  ResultSet runToResult(const std::shared_ptr<StmtHandle>& stmt,
+                        const server::Frame& request);
   /// With `trace` non-null the cursor completes and records the span (the
   /// prepare/bind stage timings already filled in) when it closes.
   Cursor openRemoteCursor(std::shared_ptr<StmtHandle> stmt,
-                          obs::QueryTrace* trace);
-  void bindRemote(const std::shared_ptr<StmtHandle>& stmt,
-                  std::vector<minidb::Value> params);
+                          const server::Frame& request, obs::QueryTrace* trace);
 
   std::shared_ptr<Wire> wire_;
   std::unordered_map<std::string, std::shared_ptr<StmtHandle>> stmts_;

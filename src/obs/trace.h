@@ -35,6 +35,9 @@ struct QueryTrace {
   std::string sql;        // truncated to kMaxSqlBytes
   std::uint64_t parse_us = 0;
   std::uint64_t plan_us = 0;
+  // Remote (pt://) traces: parameters travel inside the EXECUTE round trip,
+  // so bind_us is the client-side encoding only and the wire time is in
+  // exec_us.
   std::uint64_t bind_us = 0;
   std::uint64_t exec_us = 0;  // open-to-exhaustion, includes streaming
   std::uint64_t rows = 0;     // rows streamed to the consumer

@@ -24,6 +24,10 @@ void WireWriter::u64(std::uint64_t v) {
   }
 }
 
+void WireWriter::patchU32(std::size_t pos, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out_.at(pos + i) = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 void WireWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   out_.insert(out_.end(), s.begin(), s.end());
@@ -138,7 +142,6 @@ std::string_view opName(Op op) {
   switch (op) {
     case Op::Hello: return "HELLO";
     case Op::Prepare: return "PREPARE";
-    case Op::Bind: return "BIND";
     case Op::Execute: return "EXECUTE";
     case Op::Fetch: return "FETCH";
     case Op::CloseStmt: return "CLOSE_STMT";
@@ -151,7 +154,6 @@ std::string_view opName(Op op) {
     case Op::Diff: return "DIFF";
     case Op::HelloOk: return "HELLO_OK";
     case Op::StmtOk: return "STMT_OK";
-    case Op::BindOk: return "BIND_OK";
     case Op::ResultOk: return "RESULT_OK";
     case Op::CursorOk: return "CURSOR_OK";
     case Op::Rows: return "ROWS";

@@ -15,18 +15,18 @@
 // resynchronized).
 //
 // A session is strictly request/response: the client sends one frame and
-// reads one frame back. The conversation mirrors the dbal surface:
+// reads one frame back. The conversation mirrors the dbal surface (protocol
+// version 2):
 //
 //   HELLO   {u32 version}                 -> HELLO_OK {u32 version, str server}
 //   PREPARE {str sql}                     -> STMT_OK  {u32 stmt_id, u32 params,
 //                                                      u8 kind}
-//   BIND    {u32 stmt_id, u32 n, values}  -> BIND_OK  {}
-//   EXECUTE {u32 stmt_id}                 -> RESULT_OK {i64 affected, i64 last_id}
-//                                            (DML/DDL), or
+//   EXECUTE {u32 stmt_id, u32 max_rows,   -> RESULT_OK {i64 affected, i64 last_id}
+//            u32 n, value...}                (DML/DDL), or
 //                                            CURSOR_OK {u32 cursor_id, u32 ncols,
-//                                                       str...} (SELECT/EXPLAIN)
-//   FETCH   {u32 cursor_id, u32 max_rows} -> ROWS {u8 done, u32 nrows,
-//                                                  (u32 ncols, value...)...}
+//                                                       str..., batch}
+//                                            (SELECT/EXPLAIN)
+//   FETCH   {u32 cursor_id, u32 max_rows} -> ROWS {batch}
 //   CLOSE_STMT   {u32 stmt_id}            -> OK {}
 //   CLOSE_CURSOR {u32 cursor_id}          -> OK {}
 //   SET_OPTION {u8 option, i64 value}     -> OK {}   (session-scoped)
@@ -44,21 +44,31 @@
 //            u32 top_k,                      str..., u64 results_a, u64 results_b,
 //            value ratio_threshold,          u64 aligned, u64 only_a, u64 only_b,
 //            value abs_threshold}            u64 divergent, u64 zero_baseline,
-//                                            u64 diff_us}
-//                                            (server-side comparison diagnosis:
-//                                            the ranked rows then stream through
-//                                            the ordinary FETCH/ROWS machinery
-//                                            under the returned cursor id)
+//                                            u64 diff_us, batch}
+//                                            (server-side comparison diagnosis)
 //   SHUTDOWN {}                           -> OK {}, then the server drains
+//
+// where batch = {u8 done, u32 nrows, (u32 ncols, value...)...}.
+//
+// EXECUTE carries the statement's parameters (n must equal its placeholder
+// count; every EXECUTE binds afresh) and a row budget, so one round trip
+// runs a prepared statement and returns its first batch of rows. When that
+// batch holds the whole result (done = 1) the server has already closed the
+// cursor, released its gate hold and snapshot, and the cursor id must not
+// be fetched or closed. Otherwise the rest streams through FETCH under the
+// returned cursor id; DIFF_OK works the same way for the ranked rows. A
+// max_rows of 0 asks for the server's default batch; larger values are
+// clamped to its maximum.
 //
 // STAT_OK grows append-only: old clients read the leading fields and stop,
 // new clients treat a short payload as "server predates the field".
 //
 // Any failure produces ERROR {u16 code, str message} and never kills the
 // daemon; only protocol-level damage (truncated/oversized frames) closes
-// the connection. Row batching bounds server-side materialization: a FETCH
-// returns at most max_rows rows (clamped by the server), so large scans
-// stream through the PR-3 cursor pipeline in bounded memory.
+// the connection. Row batching bounds server-side materialization: a batch
+// holds at most max_rows rows and stops early past a byte budget, so large
+// scans stream through the cursor pipeline (DESIGN.md §5.3) in bounded
+// memory.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +81,7 @@
 
 namespace perftrack::server {
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+inline constexpr std::uint32_t kProtocolVersion = 2;
 /// Hard ceiling on one frame's payload. Generous for row batches, small
 /// enough that a garbage length field cannot make the server allocate GBs.
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
@@ -81,7 +91,6 @@ enum class Op : std::uint8_t {
   // client -> server
   Hello = 1,
   Prepare = 2,
-  Bind = 3,
   Execute = 4,
   Fetch = 5,
   CloseStmt = 6,
@@ -96,7 +105,6 @@ enum class Op : std::uint8_t {
   // server -> client
   HelloOk = 64,
   StmtOk = 65,
-  BindOk = 66,
   ResultOk = 67,
   CursorOk = 68,
   Rows = 69,
@@ -153,6 +161,12 @@ class WireWriter {
   void value(const minidb::Value& v);
   void row(const minidb::Row& r);
 
+  /// Overwrites a u8/u32 written earlier at byte offset `pos` (a count or
+  /// flag known only after the fields that follow it).
+  void patchU8(std::size_t pos, std::uint8_t v) { out_.at(pos) = v; }
+  void patchU32(std::size_t pos, std::uint32_t v);
+
+  std::size_t size() const { return out_.size(); }
   std::vector<std::uint8_t> take() { return std::move(out_); }
   const std::vector<std::uint8_t>& bytes() const { return out_; }
 

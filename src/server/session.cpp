@@ -78,7 +78,6 @@ Session::Outcome Session::handle(const Frame& request) {
     switch (request.op) {
       case Op::Hello: out.response = doHello(r); return out;
       case Op::Prepare: out.response = doPrepare(r); return out;
-      case Op::Bind: out.response = doBind(r); return out;
       case Op::Execute: out.response = doExecute(r); return out;
       case Op::Fetch: out.response = doFetch(r); return out;
       case Op::CloseStmt: out.response = doCloseStmt(r); return out;
@@ -130,7 +129,7 @@ Frame Session::doHello(WireReader& r) {
   hello_done_ = true;
   WireWriter w;
   w.u32(kProtocolVersion);
-  w.str("ptserverd/1");
+  w.str("ptserverd/" + std::to_string(kProtocolVersion));
   return makeFrame(Op::HelloOk, std::move(w));
 }
 
@@ -150,26 +149,10 @@ Frame Session::doPrepare(WireReader& r) {
   return makeFrame(Op::StmtOk, std::move(w));
 }
 
-Frame Session::doBind(WireReader& r) {
-  const std::uint32_t id = r.u32();
-  const auto it = stmts_.find(id);
-  if (it == stmts_.end()) {
-    return makeError(ErrCode::BadState, "no such statement id " + std::to_string(id));
-  }
-  const std::uint32_t n = r.u32();
-  std::vector<minidb::Value> params;
-  params.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) params.push_back(r.value());
-  r.expectEnd("BIND");
-  // bindAll validates the count against the statement's placeholders. It
-  // only stages values; a cursor already streaming this statement keeps its
-  // own copy inside the AST, so staging is safe even while busy.
-  it->second->bindAll(std::move(params));
-  return Frame{Op::BindOk, {}};
-}
-
 Frame Session::doExecute(WireReader& r) {
   const std::uint32_t id = r.u32();
+  const std::uint32_t max_rows = r.u32();
+  minidb::Row params = r.row();  // same encoding: u32 n, then n values
   r.expectEnd("EXECUTE");
   const auto it = stmts_.find(id);
   if (it == stmts_.end()) {
@@ -181,12 +164,17 @@ Frame Session::doExecute(WireReader& r) {
                      "transactions are not supported over ptserverd "
                      "(autocommit only; each write commits atomically)");
   }
-  if (isReadKind(stmt->kind())) return executeSelect(stmt);
+  // bindAll checks the count against the placeholders. It only stages
+  // values (they reach the AST when a cursor opens), so staging is safe
+  // even while a cursor is streaming this statement.
+  stmt->bindAll(std::move(params));
+  if (isReadKind(stmt->kind())) return executeSelect(stmt, max_rows);
   return executeWrite(stmt);
 }
 
 Frame Session::executeSelect(
-    const std::shared_ptr<minidb::sql::PreparedStatement>& stmt) {
+    const std::shared_ptr<minidb::sql::PreparedStatement>& stmt,
+    std::uint32_t max_rows) {
   // Sessions already holding a cursor bypass the writer queue: the queued
   // writer is waiting on *our* cursor, so parking behind it would deadlock
   // this session until both time out.
@@ -203,11 +191,6 @@ Frame Session::executeSelect(
                                    ? stmt->openCursor(db_->takeSnapshot())
                                    : stmt->openCursor();
   const std::uint32_t cursor_id = next_cursor_id_++;
-  WireWriter w;
-  w.u32(cursor_id);
-  const auto& columns = cursor.columns();
-  w.u32(static_cast<std::uint32_t>(columns.size()));
-  for (const std::string& c : columns) w.str(c);
   CursorEntry entry;
   entry.cursor.emplace(std::move(cursor));
   entry.stmt = stmt;
@@ -215,7 +198,15 @@ Frame Session::executeSelect(
   hold.forget();  // the hold now belongs to the cursor, until close/exhaust
   ++gate_holds_;
   counters_->open_cursors.fetch_add(1, std::memory_order_relaxed);
-  cursors_.emplace(cursor_id, std::move(entry));
+  const auto it = cursors_.emplace(cursor_id, std::move(entry)).first;
+  WireWriter w;
+  w.u32(cursor_id);
+  const auto& columns = it->second.cursor->columns();
+  w.u32(static_cast<std::uint32_t>(columns.size()));
+  for (const std::string& c : columns) w.str(c);
+  // The first batch rides in this reply; a result that fits is closed
+  // before the reply leaves, so no FETCH or CLOSE_CURSOR follows.
+  appendBatch(it, max_rows, w);
   return makeFrame(Op::CursorOk, std::move(w));
 }
 
@@ -285,17 +276,27 @@ Frame Session::executeDmlWal(
 
 Frame Session::doFetch(WireReader& r) {
   const std::uint32_t id = r.u32();
-  std::uint32_t max_rows = r.u32();
+  const std::uint32_t max_rows = r.u32();
   r.expectEnd("FETCH");
   const auto it = cursors_.find(id);
   if (it == cursors_.end()) {
     return makeError(ErrCode::BadState, "no such cursor id " + std::to_string(id) +
                                             " (closed, exhausted, or never opened)");
   }
+  WireWriter w;
+  appendBatch(it, max_rows, w);
+  return makeFrame(Op::Rows, std::move(w));
+}
+
+void Session::appendBatch(CursorMap::iterator it, std::uint32_t max_rows,
+                          WireWriter& out) {
   if (max_rows == 0) max_rows = limits_.default_fetch_rows;
   max_rows = std::min(max_rows, limits_.max_fetch_rows);
+  const std::size_t head = out.size();
+  out.u8(0);   // done, patched below
+  out.u32(0);  // nrows, patched below
+  const std::size_t budget_end = out.size() + limits_.fetch_byte_budget;
 
-  WireWriter rows;
   std::uint32_t produced = 0;
   bool done = false;
   CursorEntry& entry = it->second;
@@ -303,16 +304,14 @@ Frame Session::doFetch(WireReader& r) {
     if (!entry.cursor) {
       // Cursor-less (DIFF) result: stream the staged rows under the same
       // max_rows / byte-budget bounds as a pipeline cursor.
-      while (produced < max_rows &&
-             rows.bytes().size() < limits_.fetch_byte_budget &&
+      while (produced < max_rows && out.size() < budget_end &&
              entry.staged_pos < entry.staged.size()) {
-        rows.row(entry.staged[entry.staged_pos++]);
+        out.row(entry.staged[entry.staged_pos++]);
         ++produced;
       }
       done = entry.staged_pos >= entry.staged.size();
     }
-    while (entry.cursor && produced < max_rows &&
-           rows.bytes().size() < limits_.fetch_byte_budget) {
+    while (entry.cursor && produced < max_rows && out.size() < budget_end) {
       if (entry.pending_pos >= entry.pending.sel.size()) {
         entry.pending.clearRows();
         entry.pending_pos = 0;
@@ -325,28 +324,23 @@ Frame Session::doFetch(WireReader& r) {
       // Encode straight from the batch's columns (same byte layout as
       // WireWriter::row — u32 ncols, then one value per column).
       const std::uint32_t i = entry.pending.sel[entry.pending_pos++];
-      rows.u32(static_cast<std::uint32_t>(entry.pending.cols.size()));
-      for (const auto& c : entry.pending.cols) rows.value(c[i]);
+      out.u32(static_cast<std::uint32_t>(entry.pending.cols.size()));
+      for (const auto& c : entry.pending.cols) out.value(c[i]);
       ++produced;
     }
   } catch (...) {
     // A cursor that failed mid-step (e.g. a dangling index entry) is dead;
     // release its hold before the error frame goes out.
-    closeCursorEntry(it->second);
+    closeCursorEntry(entry);
     cursors_.erase(it);
     throw;
   }
   if (done) {
-    closeCursorEntry(it->second);
+    closeCursorEntry(entry);
     cursors_.erase(it);
   }
-  const auto& body = rows.bytes();
-  WireWriter out;
-  out.u8(done ? 1 : 0);
-  out.u32(produced);
-  std::vector<std::uint8_t> payload = out.take();
-  payload.insert(payload.end(), body.begin(), body.end());
-  return Frame{Op::Rows, std::move(payload)};
+  out.patchU8(head, done ? 1 : 0);
+  out.patchU32(head + 1, produced);
 }
 
 Frame Session::doCloseStmt(WireReader& r) {
@@ -481,7 +475,7 @@ Frame Session::doDiff(WireReader& r) {
   CursorEntry entry;
   entry.staged = report.toRows();
   counters_->open_cursors.fetch_add(1, std::memory_order_relaxed);
-  cursors_.emplace(cursor_id, std::move(entry));
+  const auto it = cursors_.emplace(cursor_id, std::move(entry)).first;
 
   WireWriter w;
   w.u32(cursor_id);
@@ -496,6 +490,7 @@ Frame Session::doDiff(WireReader& r) {
   w.u64(report.stats.divergent);
   w.u64(report.stats.zero_baseline);
   w.u64(report.stats.diff_us);
+  appendBatch(it, 0, w);  // the ranked rows, inline when they fit
   return makeFrame(Op::DiffOk, std::move(w));
 }
 

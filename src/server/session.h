@@ -10,7 +10,9 @@
 //                      parallel while no writer can move pages under them;
 //                      under WAL durability the cursor additionally pins a
 //                      storage snapshot, and the shared hold conflicts only
-//                      with schema changes — DML proceeds underneath;
+//                      with schema changes — DML proceeds underneath. A
+//                      result that fits its first batch ends the cursor
+//                      (hold and snapshot) inside its own EXECUTE;
 //   INSERT/UPDATE/DELETE
 //                      journal mode: exclusive gate hold for the statement,
 //                      wrapped in the journal-protected commit. WAL mode:
@@ -50,12 +52,12 @@ namespace perftrack::server {
 struct SessionLimits {
   /// Gate-acquisition budget; expiry produces a BUSY error frame.
   std::chrono::milliseconds lock_timeout{5000};
-  /// Server-side clamp on FETCH batch size.
+  /// Server-side clamp on one batch (inline in CURSOR_OK/DIFF_OK, or ROWS).
   std::uint32_t max_fetch_rows = 4096;
-  /// Batch size used when a FETCH asks for 0 rows.
+  /// Batch size used when EXECUTE or FETCH asks for 0 rows.
   std::uint32_t default_fetch_rows = 256;
-  /// Soft bound on one ROWS frame's payload; a batch ends early once
-  /// crossed, so wide rows cannot balloon a frame toward kMaxFrameBytes.
+  /// Soft bound on one batch's payload; a batch ends early once crossed,
+  /// so wide rows cannot balloon a frame toward kMaxFrameBytes.
   std::size_t fetch_byte_budget = 1u << 20;
   /// Whether the SHUTDOWN opcode is honored.
   bool allow_shutdown = true;
@@ -134,8 +136,8 @@ class Session {
     // (or the session re-prepares) while the cursor streams.
     std::shared_ptr<minidb::sql::PreparedStatement> stmt;
     bool holds_gate = false;
-    // Pipeline rows pulled but not yet shipped: a FETCH that hits the byte
-    // budget mid-batch parks the remainder here for the next FETCH.
+    // Pipeline rows pulled but not yet shipped: a batch that hits the byte
+    // budget mid-way parks the remainder here for the next FETCH.
     minidb::sql::RowBatch pending;
     std::size_t pending_pos = 0;
     // Pre-materialized rows for cursor-less (DIFF) results.
@@ -145,7 +147,6 @@ class Session {
 
   Frame doHello(WireReader& r);
   Frame doPrepare(WireReader& r);
-  Frame doBind(WireReader& r);
   Frame doExecute(WireReader& r);
   Frame doFetch(WireReader& r);
   Frame doCloseStmt(WireReader& r);
@@ -155,9 +156,19 @@ class Session {
   Frame doMetrics(WireReader& r);
   Frame doDiff(WireReader& r);
 
-  Frame executeSelect(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
+  using CursorMap = std::unordered_map<std::uint32_t, CursorEntry>;
+
+  Frame executeSelect(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt,
+                      std::uint32_t max_rows);
   Frame executeWrite(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
   Frame executeDmlWal(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
+  /// Appends one batch {u8 done, u32 nrows, rows...} from cursor `it` to
+  /// `out`: at most `max_rows` rows (0 = default_fetch_rows, clamped to
+  /// max_fetch_rows) within the byte budget. EXECUTE, FETCH and DIFF all
+  /// fill their batches here. A cursor that finishes (or fails) is closed
+  /// and erased before this returns, so its gate hold and snapshot are gone
+  /// by the time the reply is sent.
+  void appendBatch(CursorMap::iterator it, std::uint32_t max_rows, WireWriter& out);
   void closeCursorEntry(CursorEntry& entry);
 
   std::uint64_t id_;
@@ -169,7 +180,7 @@ class Session {
 
   std::unordered_map<std::uint32_t, std::shared_ptr<minidb::sql::PreparedStatement>>
       stmts_;
-  std::unordered_map<std::uint32_t, CursorEntry> cursors_;
+  CursorMap cursors_;
   std::uint32_t next_stmt_id_ = 1;
   std::uint32_t next_cursor_id_ = 1;
   int gate_holds_ = 0;  // cursor-lifetime shared holds this session owns

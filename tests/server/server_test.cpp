@@ -9,10 +9,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/datastore.h"
+#include "core/diag.h"
 #include "dbal/connection.h"
 #include "dbal/remote.h"
 #include "minidb/database.h"
@@ -65,10 +68,25 @@ class ServerTest : public ::testing::Test {
     return sock;
   }
 
+  std::uint64_t frames() const { return server_->counters().frames_served.load(); }
+  std::uint32_t openCursors() const { return server_->counters().open_cursors.load(); }
+
+  /// Table `t (v INTEGER)` with values 1..n.
+  static void fillTable(Connection& conn, int n) {
+    conn.exec("CREATE TABLE t (v INTEGER)");
+    for (int i = 1; i <= n; ++i) {
+      conn.execPrepared("INSERT INTO t VALUES (?)", {minidb::Value(i)});
+    }
+  }
+
   std::unique_ptr<minidb::Database> db_;
   std::unique_ptr<server::PtServer> server_;
   std::string target_;
 };
+
+/// More rows than one default batch (256), so a cursor over them stays open
+/// on the server after the first batch.
+constexpr int kMultiBatchRows = 300;
 
 TEST_F(ServerTest, ExecAndQueryRoundTrip) {
   auto conn = connect();
@@ -123,46 +141,46 @@ TEST_F(ServerTest, SqlErrorsComeBackTyped) {
 }
 
 TEST_F(ServerTest, BusyStatementFallbackExecDuringOpenCursor) {
-  // Satellite regression: exec()/execPrepared() on a statement whose remote
-  // cursor is still streaming must not re-enter it (the server-side
-  // statement would throw "cursor already open").
+  // exec()/execPrepared() on a statement whose remote cursor is still
+  // streaming must not re-enter it (the server-side statement would throw
+  // "cursor already open").
   auto conn = connect();
-  conn->exec("CREATE TABLE t (v INTEGER)");
-  for (int i = 1; i <= 10; ++i) {
-    conn->execPrepared("INSERT INTO t VALUES (?)", {minidb::Value(i)});
-  }
+  fillTable(*conn, kMultiBatchRows);
 
   auto cur = conn->query("SELECT v FROM t");
   minidb::Row row;
   ASSERT_TRUE(cur.next(row));  // the cursor is now mid-stream
+  ASSERT_EQ(openCursors(), 1u);
 
   // Same SQL text while the cursor is open: must take the temporary-
   // statement path, not corrupt the stream.
   const auto rs = conn->exec("SELECT v FROM t");
-  EXPECT_EQ(rs.rows.size(), 10u);
+  EXPECT_EQ(rs.rows.size(), static_cast<std::size_t>(kMultiBatchRows));
 
   // An interleaved write is also safe (it waits on the gate until the
   // reader's hold drains, so drain the cursor first).
   int streamed = 1;
   while (cur.next(row)) ++streamed;
-  EXPECT_EQ(streamed, 10);
-  conn->exec("INSERT INTO t VALUES (11)");
-  EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t"), 11);
+  EXPECT_EQ(streamed, kMultiBatchRows);
+  EXPECT_EQ(openCursors(), 0u);
+  conn->exec("INSERT INTO t VALUES (-1)");
+  EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t"), kMultiBatchRows + 1);
 }
 
 TEST_F(ServerTest, QueryDuringOpenCursorUsesFreshStatement) {
   auto conn = connect();
-  conn->exec("CREATE TABLE t (v INTEGER)");
-  conn->exec("INSERT INTO t VALUES (1)");
-  conn->exec("INSERT INTO t VALUES (2)");
+  fillTable(*conn, kMultiBatchRows);
 
   auto a = conn->query("SELECT v FROM t");
+  ASSERT_EQ(openCursors(), 1u);  // a is mid-stream: its statement is busy
   auto b = conn->query("SELECT v FROM t");  // same text, cursor a still open
+  ASSERT_EQ(openCursors(), 2u);
   minidb::Row ra, rb;
   ASSERT_TRUE(a.next(ra));
   ASSERT_TRUE(b.next(rb));
   EXPECT_EQ(ra[0].asInt(), rb[0].asInt());
   a.close();
+  EXPECT_EQ(openCursors(), 1u);
   ASSERT_TRUE(b.next(rb));
   EXPECT_EQ(rb[0].asInt(), 2);
 }
@@ -384,6 +402,133 @@ TEST_F(ServerTest, VacuumRunsExclusively) {
   EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t"), 25);
 }
 
+// --- frames per operation ------------------------------------------------------
+// frames_served counts request frames; each one is one round trip.
+
+TEST_F(ServerTest, CachedPointQueryIsOneFrame) {
+  auto conn = connect();
+  conn->exec("CREATE TABLE p (id INTEGER PRIMARY KEY, v REAL)");
+  for (int i = 1; i <= 5; ++i) {
+    conn->execPrepared("INSERT INTO p (v) VALUES (?)", {minidb::Value(i * 1.5)});
+  }
+  const char* sql = "SELECT v FROM p WHERE id = ?";
+  std::uint64_t f0 = frames();
+  EXPECT_EQ(conn->queryValue(sql, {minidb::Value(std::int64_t{2})}).asReal(), 3.0);
+  EXPECT_EQ(frames() - f0, 2u);  // first use: PREPARE + EXECUTE
+  EXPECT_EQ(openCursors(), 0u);
+  for (std::int64_t id = 1; id <= 5; ++id) {
+    f0 = frames();
+    EXPECT_EQ(conn->queryValue(sql, {minidb::Value(id)}).asReal(), id * 1.5);
+    EXPECT_EQ(frames() - f0, 1u);  // cached: EXECUTE alone
+    EXPECT_EQ(openCursors(), 0u);
+  }
+}
+
+TEST_F(ServerTest, AutocommitUpdateIsOneFrame) {
+  auto conn = connect();
+  fillTable(*conn, 3);
+  const char* sql = "UPDATE t SET v = ? WHERE v = ?";
+  conn->execPrepared(sql, {minidb::Value(10), minidb::Value(1)});
+  const std::uint64_t f0 = frames();
+  const auto rs = conn->execPrepared(sql, {minidb::Value(20), minidb::Value(2)});
+  EXPECT_EQ(frames() - f0, 1u);
+  EXPECT_EQ(rs.rows_affected, 1);
+  EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t WHERE v = 20"), 1);
+}
+
+TEST_F(ServerTest, RemoteDiffIsOneFrame) {
+  auto conn = connect();
+  core::PTDataStore store(*conn);
+  store.initialize();
+  for (const char* exec : {"runA", "runB"}) {
+    store.addExecution(exec, "app");
+    const std::string proc = std::string("/") + exec + "/p0";
+    store.addResource(proc, "execution/process");
+    store.addPerformanceResult(exec, {{{proc}, core::FocusType::Primary}}, "tool",
+                               "wall_ms", exec == std::string("runA") ? 100.0 : 250.0);
+  }
+  core::diag::Request req;
+  req.exec_a = "runA";
+  req.exec_b = "runB";
+  const std::uint64_t f0 = frames();
+  const core::diag::Report report = conn->diff(req);
+  EXPECT_EQ(frames() - f0, 1u);  // DIFF_OK carries the ranked rows
+  ASSERT_EQ(report.rows.size(), 1u);
+  EXPECT_EQ(report.rows[0].metric, "wall_ms");
+  EXPECT_EQ(openCursors(), 0u);
+}
+
+TEST_F(ServerTest, MultiBatchResultTakesOneFramePerBatch) {
+  auto conn = connect();
+  fillTable(*conn, 600);  // default batch 256: 256 + 256 + 88
+  (void)conn->query("SELECT v FROM t");  // prepares and caches the text
+
+  std::uint64_t f0 = frames();
+  auto cur = conn->query("SELECT v FROM t");
+  EXPECT_EQ(frames() - f0, 1u);  // EXECUTE, first batch inline
+  minidb::Row row;
+  int n = 0;
+  while (cur.next(row)) ++n;
+  EXPECT_EQ(n, 600);
+  EXPECT_EQ(frames() - f0, 3u);  // 1 + (3 - 1) FETCHes
+  EXPECT_EQ(openCursors(), 0u);
+
+  // exec() materializes, so it asks for the server's largest batch (4096).
+  f0 = frames();
+  EXPECT_EQ(conn->exec("SELECT v FROM t").rows.size(), 600u);
+  EXPECT_EQ(frames() - f0, 1u);
+}
+
+TEST_F(ServerTest, CompleteResultHoldsNoServerCursor) {
+  auto conn = connect();
+  fillTable(*conn, 3);
+  auto cur = conn->query("SELECT v FROM t");
+  // The 3 rows arrived with EXECUTE: the server cursor, its gate hold and
+  // its snapshot are gone although the client has not read a row yet.
+  EXPECT_EQ(openCursors(), 0u);
+  EXPECT_TRUE(cur.isOpen());
+
+  // So a writer needing the exclusive gate is not queued behind it.
+  auto writer = connect();
+  writer->exec("INSERT INTO t VALUES (4)");
+
+  const std::uint64_t f0 = frames();
+  minidb::Row row;
+  ASSERT_TRUE(cur.next(row));
+  EXPECT_EQ(row[0].asInt(), 1);
+  cur.close();
+  EXPECT_EQ(frames() - f0, 0u);  // no FETCH, no CLOSE_CURSOR
+  EXPECT_FALSE(cur.isOpen());
+}
+
+TEST(RemoteQuery, NonSelectIsRefusedAndWritesNothingOnBothBackends) {
+  auto db = minidb::Database::openMemory();
+  server::ServerConfig config;
+  config.port = 0;
+  server::PtServer srv(*db, config);
+  srv.start();
+  const std::string remote = "pt://127.0.0.1:" + std::to_string(srv.boundPort());
+  for (const std::string& target : {std::string(":memory:"), remote}) {
+    SCOPED_TRACE(target);
+    auto conn = Connection::open(target);
+    conn->exec("CREATE TABLE t (v INTEGER)");
+    for (int with_params = 0; with_params < 2; ++with_params) {
+      try {
+        if (with_params != 0) {
+          (void)conn->query("INSERT INTO t VALUES (?)", {minidb::Value(1)});
+        } else {
+          (void)conn->query("INSERT INTO t VALUES (1)");
+        }
+        ADD_FAILURE() << "query() ran a non-SELECT";
+      } catch (const util::SqlError& e) {
+        EXPECT_STREQ(e.what(), "openCursor: statement is not a SELECT");
+      }
+    }
+    EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t"), 0);
+  }
+  srv.stop();
+}
+
 // --- raw-socket protocol edge cases ------------------------------------------
 
 TEST_F(ServerTest, HelloRequiredFirst) {
@@ -459,29 +604,40 @@ TEST_F(ServerTest, MalformedPayloadGetsProtocolError) {
 }
 
 TEST_F(ServerTest, FetchAfterCloseIsBadState) {
+  fillTable(*connect(), 3);
   server::Socket sock = rawClient();
 
   WireWriter prep;
-  prep.str("SELECT 1");
+  prep.str("SELECT v FROM t");
   sock.sendFrame(server::makeFrame(Op::Prepare, std::move(prep)));
   auto reply = sock.recvFrame();
   ASSERT_TRUE(reply.has_value() && reply->op == Op::StmtOk);
   WireReader sr(reply->payload);
   const std::uint32_t stmt_id = sr.u32();
 
+  // A row budget of 1 leaves the 3-row result open on the server.
   WireWriter ex;
   ex.u32(stmt_id);
+  ex.u32(1);
+  ex.row({});
   sock.sendFrame(server::makeFrame(Op::Execute, std::move(ex)));
   reply = sock.recvFrame();
   ASSERT_TRUE(reply.has_value() && reply->op == Op::CursorOk);
   WireReader cr(reply->payload);
   const std::uint32_t cursor_id = cr.u32();
+  ASSERT_EQ(cr.u32(), 1u);
+  EXPECT_EQ(cr.str(), "v");
+  EXPECT_EQ(cr.u8(), 0);   // not done
+  EXPECT_EQ(cr.u32(), 1u);  // one row inline
+  EXPECT_EQ(cr.row()[0].asInt(), 1);
+  ASSERT_EQ(openCursors(), 1u);
 
   WireWriter close;
   close.u32(cursor_id);
   sock.sendFrame(server::makeFrame(Op::CloseCursor, std::move(close)));
   reply = sock.recvFrame();
   ASSERT_TRUE(reply.has_value() && reply->op == Op::Ok);
+  EXPECT_EQ(openCursors(), 0u);
 
   WireWriter fetch;
   fetch.u32(cursor_id);
@@ -493,17 +649,135 @@ TEST_F(ServerTest, FetchAfterCloseIsBadState) {
   EXPECT_EQ(server::readError(*reply).first, ErrCode::BadState);
 }
 
+TEST_F(ServerTest, MalformedExecutePayloadsGetTypedErrors) {
+  // Seeded, so every run sends the same payloads.
+  std::mt19937 rng(20051112);
+  {
+    auto conn = connect();
+    conn->exec("CREATE TABLE r (id INTEGER PRIMARY KEY, a INTEGER, b TEXT, c REAL)");
+    for (int i = 0; i < 20; ++i) {
+      conn->execPrepared("INSERT INTO r (a, b, c) VALUES (?, ?, ?)",
+                         {minidb::Value(i % 7), minidb::Value("n" + std::to_string(i)),
+                          minidb::Value(i * 0.5)});
+    }
+  }
+  server::Socket sock = rawClient();
+  WireWriter prep;
+  prep.str("SELECT id FROM r WHERE a = ? OR b = ? OR c < ? OR a = ?");
+  sock.sendFrame(server::makeFrame(Op::Prepare, std::move(prep)));
+  auto reply = sock.recvFrame();
+  ASSERT_TRUE(reply.has_value() && reply->op == Op::StmtOk);
+  const std::uint32_t stmt_id = WireReader(reply->payload).u32();
+
+  // One value of every tag: INTEGER, TEXT, REAL, NULL.
+  const minidb::Row params = {
+      minidb::Value(static_cast<std::int64_t>(rng() % 7)),
+      minidb::Value("n" + std::to_string(rng() % 20)),
+      minidb::Value(static_cast<double>(rng() % 10)), minidb::Value::null()};
+  // Payload = u32 stmt_id, u32 max_rows, u32 n, then the values; records
+  // where each value's tag byte lands.
+  auto payloadFor = [&](std::uint32_t count, const minidb::Row& values,
+                        std::vector<std::size_t>* tags) {
+    WireWriter w;
+    w.u32(stmt_id);
+    w.u32(0);
+    w.u32(count);
+    for (const minidb::Value& v : values) {
+      if (tags != nullptr) tags->push_back(w.size());
+      w.value(v);
+    }
+    return w.take();
+  };
+  std::vector<std::size_t> tag_offsets;
+  const std::vector<std::uint8_t> good = payloadFor(4, params, &tag_offsets);
+
+  auto send = [&](std::vector<std::uint8_t> payload) {
+    sock.sendFrame(Frame{Op::Execute, std::move(payload)});
+    auto r = sock.recvFrame();
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(Frame{});
+  };
+  // After every bad request: the session still serves the good one, and no
+  // cursor or gate hold was left behind.
+  auto expectHealthy = [&](const std::string& what) {
+    const Frame ok = send(good);
+    ASSERT_EQ(ok.op, Op::CursorOk) << what;
+    WireReader r(ok.payload);
+    r.u32();
+    ASSERT_EQ(r.u32(), 1u);
+    r.str();
+    EXPECT_EQ(r.u8(), 1) << what;  // complete inline
+    EXPECT_EQ(openCursors(), 0u) << what;
+    ASSERT_TRUE(server_->gate().lockExclusive(std::chrono::milliseconds(500))) << what;
+    server_->gate().unlockExclusive();
+  };
+  auto expectError = [&](std::vector<std::uint8_t> payload, ErrCode code,
+                         const std::string& what) {
+    const Frame bad = send(std::move(payload));
+    ASSERT_EQ(bad.op, Op::Error) << what;
+    EXPECT_EQ(server::readError(bad).first, code) << what;
+    expectHealthy(what);
+  };
+
+  expectHealthy("baseline");
+  for (std::size_t cut = 0; cut < good.size(); ++cut) {
+    expectError({good.begin(), good.begin() + static_cast<std::ptrdiff_t>(cut)},
+                ErrCode::Protocol, "truncated at " + std::to_string(cut));
+  }
+  for (const std::size_t at : tag_offsets) {
+    std::vector<std::uint8_t> bad = good;
+    bad[at] = static_cast<std::uint8_t>(4 + rng() % 252);  // tags are 0..3
+    expectError(std::move(bad), ErrCode::Protocol, "bad tag at " + std::to_string(at));
+  }
+  const minidb::Row three(params.begin(), params.begin() + 3);
+  minidb::Row five = params;
+  five.push_back(minidb::Value(std::int64_t{1}));
+  expectError(payloadFor(3, three, nullptr), ErrCode::Sql, "3 of 4 params");
+  expectError(payloadFor(5, five, nullptr), ErrCode::Sql, "5 of 4 params");
+  expectError(payloadFor(0, {}, nullptr), ErrCode::Sql, "0 of 4 params");
+  expectError(payloadFor(3, params, nullptr), ErrCode::Protocol, "count 3, 4 values");
+  expectError(payloadFor(0xffffffffu, params, nullptr), ErrCode::Protocol,
+              "count beyond the payload");
+  std::vector<std::uint8_t> trailing = good;
+  trailing.push_back(static_cast<std::uint8_t>(rng()));
+  expectError(std::move(trailing), ErrCode::Protocol, "trailing byte");
+}
+
+TEST_F(ServerTest, VersionOneClientIsRefusedByName) {
+  server::Socket sock =
+      server::connectTo(target_, std::chrono::milliseconds(5000));
+  WireWriter hello;
+  hello.u32(1);
+  sock.sendFrame(server::makeFrame(Op::Hello, std::move(hello)));
+  auto reply = sock.recvFrame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->op, Op::Error);
+  const auto [code, message] = server::readError(*reply);
+  EXPECT_EQ(code, ErrCode::Protocol);
+  EXPECT_NE(message.find("version 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("speaks " + std::to_string(server::kProtocolVersion)),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(server::kProtocolVersion, 2u);
+
+  // Opcode 3 (version 1's BIND) is gone.
+  server::Socket v2 = rawClient();
+  v2.sendFrame(Frame{static_cast<Op>(3), {}});
+  reply = v2.recvFrame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->op, Op::Error);
+  EXPECT_EQ(server::readError(*reply).first, ErrCode::UnknownOpcode);
+}
+
 TEST_F(ServerTest, AbandonedCursorReleasesLockOnDisconnect) {
   auto writer = connect();
-  writer->exec("CREATE TABLE t (v INTEGER)");
-  for (int i = 0; i < 100; ++i) {
-    writer->execPrepared("INSERT INTO t VALUES (?)", {minidb::Value(i)});
-  }
+  fillTable(*writer, kMultiBatchRows);
   {
     auto reader = connect();
     auto cur = reader->query("SELECT v FROM t");
     minidb::Row row;
     ASSERT_TRUE(cur.next(row));
+    ASSERT_EQ(openCursors(), 1u);
     // Abrupt disconnect with the cursor (and its shared gate hold) still
     // open: kill the connection first, so the cursor never sends CLOSE.
     reader.reset();
@@ -511,7 +785,7 @@ TEST_F(ServerTest, AbandonedCursorReleasesLockOnDisconnect) {
   // The disconnect teardown released the hold; a write must get through
   // within the lock timeout.
   writer->exec("INSERT INTO t VALUES (-1)");
-  EXPECT_EQ(writer->queryInt("SELECT COUNT(*) FROM t"), 101);
+  EXPECT_EQ(writer->queryInt("SELECT COUNT(*) FROM t"), kMultiBatchRows + 1);
 }
 
 TEST_F(ServerTest, RemoteShutdownDrains) {
