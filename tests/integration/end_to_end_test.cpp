@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "analyze/compare.h"
 #include "core/query_session.h"
@@ -22,20 +24,22 @@ namespace perftrack {
 namespace {
 
 /// (kind, machine) pairs covering every converter and platform combination.
+/// std::string, not const char*: gtest prints a string parameter's value but
+/// a char pointer's address, and the printed value is part of the test name.
 class PipelineTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(PipelineTest, GenerateConvertLoadReopenQuery) {
-  const auto [kind, machine_name] = GetParam();
+  const auto& [kind, machine_name] = GetParam();
   util::TempDir workspace("pipeline");
   const sim::MachineConfig machine = tools::machineByName(machine_name);
 
   // 1. Generate the run and a PTdfGen index entry for it.
   std::string exec_name;
   const auto run_dir = workspace.file("run");
-  if (std::string(kind) == "irs") {
+  if (kind == "irs") {
     exec_name = sim::generateIrsRun({machine, 8, "MPI", 2, ""}, run_dir).exec_name;
-  } else if (std::string(kind) == "smg") {
+  } else if (kind == "smg") {
     sim::SmgRunSpec spec;
     spec.machine = machine;
     spec.nprocs = 8;
@@ -57,7 +61,7 @@ TEST_P(PipelineTest, GenerateConvertLoadReopenQuery) {
   {
     std::ofstream out(index);
     out << kind << " " << run_dir.string() << " " << machine_name;
-    if (std::string(kind) == "paradyn") out << " " << exec_name;
+    if (kind == "paradyn") out << " " << exec_name;
     out << "\n";
   }
 
@@ -97,9 +101,11 @@ TEST_P(PipelineTest, GenerateConvertLoadReopenQuery) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sources, PipelineTest,
-    ::testing::Values(std::pair{"irs", "frost"}, std::pair{"irs", "mcr"},
-                      std::pair{"smg", "bgl"}, std::pair{"smg", "uv"},
-                      std::pair{"paradyn", "mcr"}));
+    ::testing::Values(std::pair<std::string, std::string>{"irs", "frost"},
+                      std::pair<std::string, std::string>{"irs", "mcr"},
+                      std::pair<std::string, std::string>{"smg", "bgl"},
+                      std::pair<std::string, std::string>{"smg", "uv"},
+                      std::pair<std::string, std::string>{"paradyn", "mcr"}));
 
 TEST(CombinedStore, ThreeToolsInOneAnalysisSession) {
   // The paper's headline: "data collected in different locations and
