@@ -86,7 +86,7 @@ Cell runBatched(dbal::Connection& conn, std::int64_t table_rows) {
   cell.phase = "batched";
   cell.table_rows = table_rows;
   cell.batch_rows =
-      static_cast<std::int64_t>(minidb::sql::defaultExecBatchRows());
+      static_cast<std::int64_t>(minidb::sql::processOptions().batch_rows);
   const long before = peakRssKb();
   util::Timer timer;
   auto cur = conn.query(kScan);

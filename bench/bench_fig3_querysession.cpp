@@ -9,7 +9,7 @@
 //
 // Every run records a `threads` counter in the JSON output; the _ThreadSweep
 // variants re-run the count hot path at morsel-parallel degrees {1,2,4,8}
-// (dbal::Connection::setExecThreads) so BENCH_fig3.json carries the
+// (dbal::Connection::setOption("exec_threads", n)) so BENCH_fig3.json carries the
 // per-degree timing matrix.
 #include <benchmark/benchmark.h>
 
@@ -105,7 +105,7 @@ BENCHMARK(BM_SessionRun);
 void BM_TotalCount_ThreadSweep(benchmark::State& state) {
   auto& s = sharedStore();
   const int threads = static_cast<int>(state.range(0));
-  s.conn->setExecThreads(threads);
+  s.conn->setOption("exec_threads", threads);
   core::QuerySession session(*s.store);
   session.addFamily(core::ResourceFilter::byName("Frost", core::Expansion::Descendants));
   session.addFamily(
@@ -114,14 +114,14 @@ void BM_TotalCount_ThreadSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(session.totalMatchCount());
   }
   state.counters["threads"] = threads;
-  s.conn->setExecThreads(0);
+  s.conn->setOption("exec_threads", minidb::sql::processOptions().degree);
 }
 BENCHMARK(BM_TotalCount_ThreadSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_SessionRun_ThreadSweep(benchmark::State& state) {
   auto& s = sharedStore();
   const int threads = static_cast<int>(state.range(0));
-  s.conn->setExecThreads(threads);
+  s.conn->setOption("exec_threads", threads);
   core::QuerySession session(*s.store);
   session.addFamily(
       core::ResourceFilter::byName("/IRS-1.4/irscg.c/cgsolve", core::Expansion::None));
@@ -130,7 +130,7 @@ void BM_SessionRun_ThreadSweep(benchmark::State& state) {
     benchmark::DoNotOptimize(table.size());
   }
   state.counters["threads"] = threads;
-  s.conn->setExecThreads(0);
+  s.conn->setOption("exec_threads", minidb::sql::processOptions().degree);
 }
 BENCHMARK(BM_SessionRun_ThreadSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 

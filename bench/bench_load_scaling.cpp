@@ -61,7 +61,7 @@ void BM_LoadSmgExecution_NoIndexes(benchmark::State& state) {
   const auto ptdf_path = makeSmgPtdf(workspace, static_cast<int>(state.range(0)));
   for (auto _ : state) {
     bench::Store s = bench::Store::openMemory();
-    s.conn->setUseIndexes(false);
+    s.conn->setOption("use_indexes", false);
     const auto stats = ptdf::loadFile(*s.store, ptdf_path.string());
     benchmark::DoNotOptimize(stats.perf_results);
   }

@@ -151,7 +151,7 @@ ScanFixture& scanFixture() {
 void BM_GroupedAggregate_Threads(benchmark::State& state) {
   auto& f = scanFixture();
   const int threads = static_cast<int>(state.range(0));
-  f.sql->setExecThreads(threads);
+  f.sql->setOption("exec_threads", threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.sql->exec(
         "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) "
@@ -160,7 +160,7 @@ void BM_GroupedAggregate_Threads(benchmark::State& state) {
   state.counters["threads"] = threads;
   state.counters["rows"] = static_cast<double>(f.rows);
   state.SetItemsProcessed(state.iterations() * f.rows);
-  f.sql->setExecThreads(1);
+  f.sql->setOption("exec_threads", 1);
 }
 BENCHMARK(BM_GroupedAggregate_Threads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -176,8 +176,8 @@ BENCHMARK(BM_GroupedAggregate_Threads)
 void BM_GroupedAggregate_BatchRows(benchmark::State& state) {
   auto& f = scanFixture();
   const auto batch_rows = static_cast<std::size_t>(state.range(0));
-  f.sql->setExecThreads(1);
-  f.sql->setExecBatchRows(batch_rows);
+  f.sql->setOption("exec_threads", 1);
+  f.sql->setOption("exec_batch_rows", batch_rows);
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.sql->exec(
         "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) "
@@ -186,7 +186,7 @@ void BM_GroupedAggregate_BatchRows(benchmark::State& state) {
   state.counters["batch_rows"] = static_cast<double>(batch_rows);
   state.counters["rows"] = static_cast<double>(f.rows);
   state.SetItemsProcessed(state.iterations() * f.rows);
-  f.sql->setExecBatchRows(1024);
+  f.sql->setOption("exec_batch_rows", 1024);
 }
 BENCHMARK(BM_GroupedAggregate_BatchRows)
     ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
@@ -195,8 +195,8 @@ BENCHMARK(BM_GroupedAggregate_BatchRows)
 void BM_FilteredScan_BatchRows(benchmark::State& state) {
   auto& f = scanFixture();
   const auto batch_rows = static_cast<std::size_t>(state.range(0));
-  f.sql->setExecThreads(1);
-  f.sql->setExecBatchRows(batch_rows);
+  f.sql->setOption("exec_threads", 1);
+  f.sql->setOption("exec_batch_rows", batch_rows);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         f.sql->exec("SELECT id, val FROM scan_t WHERE grp < 8 AND val < 500"));
@@ -204,7 +204,7 @@ void BM_FilteredScan_BatchRows(benchmark::State& state) {
   state.counters["batch_rows"] = static_cast<double>(batch_rows);
   state.counters["rows"] = static_cast<double>(f.rows);
   state.SetItemsProcessed(state.iterations() * f.rows);
-  f.sql->setExecBatchRows(1024);
+  f.sql->setOption("exec_batch_rows", 1024);
 }
 BENCHMARK(BM_FilteredScan_BatchRows)
     ->Arg(64)->Arg(256)->Arg(1024)->Arg(4096)
@@ -213,7 +213,7 @@ BENCHMARK(BM_FilteredScan_BatchRows)
 void BM_TopK_Threads(benchmark::State& state) {
   auto& f = scanFixture();
   const int threads = static_cast<int>(state.range(0));
-  f.sql->setExecThreads(threads);
+  f.sql->setOption("exec_threads", threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.sql->exec(
         "SELECT id, val FROM scan_t WHERE grp < 32 "
@@ -222,7 +222,7 @@ void BM_TopK_Threads(benchmark::State& state) {
   state.counters["threads"] = threads;
   state.counters["rows"] = static_cast<double>(f.rows);
   state.SetItemsProcessed(state.iterations() * f.rows);
-  f.sql->setExecThreads(1);
+  f.sql->setOption("exec_threads", 1);
 }
 BENCHMARK(BM_TopK_Threads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)

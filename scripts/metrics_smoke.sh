@@ -4,6 +4,8 @@
 # Boots ptserverd with --metrics-port 0 on a fresh store, scrapes the HTTP
 # endpoint with nothing but bash's /dev/tcp, and validates:
 #
+#   * a malformed execution-option flag (--exec-threads abc, --invidx 2, ...)
+#     makes ptserverd exit 2 naming the option's range;
 #   * /metrics answers HTTP 200 with the Prometheus text exposition
 #     Content-Type and well-formed "# TYPE <name> <kind>" lines;
 #   * counters are live: pt_server_frames_served_total strictly increases
@@ -19,7 +21,8 @@
 #     pt_invidx_probes_total, pt_invidx_lists) appear and move after an
 #     IN-list probe on a secondary-indexed integer column;
 #   * /traces shows the recent-query ring with the workload's SQL in it;
-#   * /healthz answers "ok" and /varz reports the build/config lines;
+#   * /healthz answers "ok" and /varz reports the build/config lines,
+#     including the effective value of every execution option;
 #   * the diagnosis metrics (pt_diag_diffs_total, pt_diag_pairs_aligned_total,
 #     pt_diag_divergences_total, pt_diag_diff_ms) appear and move after two
 #     bench runs are ingested over the wire with pt_perf_ingest and DIFFed
@@ -41,12 +44,34 @@ trap cleanup EXIT
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
+# --- option flags: a value outside the row's type or range exits 2 ----------
+
+# Each case: flag, value, the range the message must name. `timeout` turns
+# a wrongly accepted flag (a server that starts and serves) into a failure.
+while read -r FLAG VALUE RANGE; do
+  timeout 10 "$BIN/ptserverd" --listen 127.0.0.1:0 "$FLAG" "$VALUE" \
+    "$WORK/bad.db" > /dev/null 2> "$WORK/bad.err"
+  RC=$?
+  [ "$RC" -eq 2 ] || fail "ptserverd $FLAG '$VALUE' exited $RC, want 2"
+  grep -qF -e "$FLAG wants a value in $RANGE" "$WORK/bad.err" \
+    || fail "ptserverd $FLAG '$VALUE' did not name the range $RANGE: $(cat "$WORK/bad.err")"
+done <<'CASES'
+--exec-threads abc [1, 1024]
+--exec-threads 0 [1, 1024]
+--exec-threads 1025 [1, 1024]
+--invidx 2 [0, 1]
+--use-indexes no [0, 1]
+--exec-batch-rows 12abc [1, 65536]
+--exec-min-pages -1 [0, 2147483647]
+CASES
+
 # --slow-query-ms puts the tracer in time-everything mode (classifying slow
 # queries needs every span), which makes the /traces assertions below
 # deterministic; 5000ms keeps the slow log itself empty. --exec-threads 4
 # with the page gate off lets the small parallel workload below actually go
-# parallel regardless of the host's core count.
-PT_EXEC_MIN_PAGES=1 \
+# parallel regardless of the host's core count. The other option env vars
+# are cleared so /varz shows the table defaults for them.
+env -u PT_EXEC_THREADS -u PT_EXEC_BATCH_ROWS -u PT_INVIDX PT_EXEC_MIN_PAGES=1 \
 "$BIN/ptserverd" --listen 127.0.0.1:0 --workers 2 --metrics-port 0 \
   --slow-query-ms 5000 --exec-threads 4 \
   "$WORK/store.db" > "$WORK/srv.out" 2> "$WORK/srv.err" &
@@ -109,6 +134,11 @@ printf '%s\n' "$VARZ" | grep -q '^pt_server_workers 2$' \
   || fail "/varz workers should echo --workers 2"
 printf '%s\n' "$VARZ" | grep -q '^pt_server_exec_threads 4$' \
   || fail "/varz exec_threads should echo --exec-threads 4"
+# Every execution option's effective value: flag, env, or table default.
+for LINE in 'pt_server_use_indexes 1' 'pt_server_exec_batch_rows 1024' \
+            'pt_server_invidx 1' 'pt_server_exec_min_pages 1'; do
+  printf '%s\n' "$VARZ" | grep -qx "$LINE" || fail "/varz missing '$LINE'"
+done
 printf '%s\n' "$VARZ" | grep -q '^pt_server_build_compiler ' \
   || fail "/varz missing build info"
 printf '%s\n' "$VARZ" | grep -q '^pt_server_uptime_ms [0-9]' \

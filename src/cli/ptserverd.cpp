@@ -29,12 +29,10 @@
 //                             printed on stdout; omit to disable)
 //     --slow-query-ms <ms>    log queries slower than this to stderr and
 //                             the slow-trace ring (0 disables; default 0)
-//     --exec-threads <n>      parallel SELECT degree per session (0 =
-//                             PT_EXEC_THREADS or hardware concurrency,
-//                             1 = serial; sessions share one worker pool)
-//     --invidx <0|1>          default inverted-index switch for new
-//                             sessions (posting-list IN probes; omit for
-//                             the process default, PT_INVIDX or on)
+//     --<option> <value>      per-server default of one execution option
+//                             (minidb/sql/options.h name with dashes, e.g.
+//                             --exec-threads 4, --invidx off); a value
+//                             outside its type or range exits with status 2
 //
 // On startup the daemon prints "listening on <host>:<port>" (and the unix
 // path if any) to stdout and flushes, so harnesses can scrape the ephemeral
@@ -45,6 +43,7 @@
 // PT_DEBUG_CRASH_AT=<n> (testing hook, used by scripts/server_kill_test.sh):
 // SIGKILL the daemon at the n-th disk write/sync/truncate, leaving a
 // genuinely crashed store for the restart-recovery test.
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +54,7 @@
 
 #include <unistd.h>
 
+#include "minidb/sql/options.h"
 #include "minidb/vfs.h"
 #include "obs/trace.h"
 #include "server/server.h"
@@ -78,14 +78,20 @@ bool parseHostPort(const std::string& spec, std::string& host, std::uint16_t& po
   return true;
 }
 
+std::string optionFlag(const perftrack::minidb::sql::OptionSpec& spec) {
+  std::string flag = "--" + std::string(spec.name);
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  return flag;
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--listen host:port] [--unix path] [--workers n]\n"
                "       [--max-conn n] [--idle-timeout ms] [--lock-timeout ms]\n"
                "       [--durability=full|wal|none] [--wal-autocheckpoint n]\n"
                "       [--no-remote-shutdown]\n"
-               "       [--metrics-port n] [--slow-query-ms ms] [--exec-threads n]\n"
-               "       [--invidx 0|1] <database|:memory:>\n",
+               "       [--metrics-port n] [--slow-query-ms ms]\n"
+               "       [--<option> value] <database|:memory:>\n",
                argv0);
   return 2;
 }
@@ -156,14 +162,24 @@ int main(int argc, char** argv) {
     } else if (flag == "--slow-query-ms") {
       obs::Tracer::global().setSlowQueryMillis(
           static_cast<std::uint64_t>(std::atol(nextValue("--slow-query-ms"))));
-    } else if (flag == "--exec-threads") {
-      config.limits.exec_threads = std::atoi(nextValue("--exec-threads"));
-      if (config.limits.exec_threads < 0) config.limits.exec_threads = 0;
-    } else if (flag == "--invidx") {
-      config.limits.invidx = std::atoi(nextValue("--invidx")) != 0 ? 1 : 0;
     } else {
-      std::fprintf(stderr, "ptserverd: unknown flag '%s'\n", flag.c_str());
-      return usage(argv[0]);
+      const auto& table = minidb::sql::optionTable();
+      const auto spec = std::find_if(table.begin(), table.end(), [&](const auto& row) {
+        return optionFlag(row) == flag;
+      });
+      if (spec == table.end()) {
+        std::fprintf(stderr, "ptserverd: unknown flag '%s'\n", flag.c_str());
+        return usage(argv[0]);
+      }
+      const char* text = nextValue(flag.c_str());
+      const auto value = minidb::sql::parseOptionValue(*spec, text);
+      if (!value) {
+        std::fprintf(stderr, "ptserverd: %s wants a value in [%lld, %lld], got '%s'\n",
+                     flag.c_str(), static_cast<long long>(spec->min),
+                     static_cast<long long>(spec->max), text);
+        return 2;
+      }
+      spec->set(config.limits.exec_options, *value);
     }
   }
   if (arg != argc - 1) return usage(argv[0]);

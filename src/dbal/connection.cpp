@@ -226,16 +226,8 @@ Cursor LocalConnection::query(std::string_view sql,
   return Cursor(std::make_unique<LocalCursorImpl>(std::move(inner), std::move(stmt)));
 }
 
-void LocalConnection::setUseIndexes(bool enabled) {
-  if (enabled == engine_.useIndexes()) return;
-  engine_.setUseIndexes(enabled);
-  dropEntries(&stats_.invalidations);
-}
-
-void LocalConnection::setInvidxEnabled(bool enabled) {
-  if (enabled == engine_.invidx()) return;
-  engine_.setInvidx(enabled);
-  dropEntries(&stats_.invalidations);
+void LocalConnection::setOption(std::string_view name, std::int64_t value) {
+  if (engine_.setOption(name, value)) dropEntries(&stats_.invalidations);
 }
 
 void LocalConnection::setStatementCacheCapacity(std::size_t capacity) {

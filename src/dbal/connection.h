@@ -173,30 +173,16 @@ class Connection {
   /// store when it starts).
   virtual const minidb::RecoveryStats& recoveryStats() const = 0;
 
-  /// Ablation switch: disable index-assisted plans (see DESIGN.md §5).
-  /// Flipping the switch drops all cached statements. Session-scoped for
-  /// remote connections.
-  virtual void setUseIndexes(bool enabled) = 0;
+  /// Sets one execution option of the minidb/sql/options.h table (DESIGN.md
+  /// §5.11); both backends throw the same util::SqlError for an unknown name
+  /// or an out-of-range value. Local connections drop all cached statements
+  /// when the value changes; remote ones forward it as a session-scoped
+  /// SET_OPTION, so a remote exec_threads reaches the server's session.
+  virtual void setOption(std::string_view name, std::int64_t value) = 0;
 
-  /// Execution degree for parallel-eligible SELECTs (morsel-driven; see
-  /// DESIGN.md §5.6). 0 restores the process default (PT_EXEC_THREADS or
-  /// hardware concurrency); 1 forces the serial path. Remote sessions
-  /// ignore it — the server decides its own degree (all sessions share one
-  /// worker pool there).
-  virtual void setExecThreads(int n) { (void)n; }
-
-  /// Rows per pipeline batch for this connection's statements (see
-  /// DESIGN.md §5.8). Local backends validate through
-  /// Engine::setExecBatchRows (throws on 0 / absurd values); remote
-  /// sessions ignore it — the server picks its own batch size.
-  virtual void setExecBatchRows(std::size_t n) { (void)n; }
-
-  /// Inverted-index switch (see DESIGN.md §5.9): whether integer IN-list
-  /// probes and the core resource matcher may answer from posting-list
-  /// indexes instead of per-key B+-tree descents. On by default (process
-  /// default PT_INVIDX). Flipping it drops all cached statements locally;
-  /// remote sessions forward it as a session option.
-  virtual void setInvidxEnabled(bool enabled) { (void)enabled; }
+  void setInvidxEnabled(bool enabled) { setOption("invidx", enabled ? 1 : 0); }
+  /// Whether the in-process inverted-index fast paths may run (always
+  /// false for remote connections, which have no local store).
   virtual bool invidxEnabled() const { return false; }
 
   // --- statement-cache introspection ----------------------------------------
@@ -245,11 +231,8 @@ class LocalConnection final : public Connection {
     return db_->recoveryStats();
   }
 
-  void setUseIndexes(bool enabled) override;
-  void setExecThreads(int n) override { engine_.setExecThreads(n); }
-  void setExecBatchRows(std::size_t n) override { engine_.setExecBatchRows(n); }
-  void setInvidxEnabled(bool enabled) override;
-  bool invidxEnabled() const override { return engine_.invidx(); }
+  void setOption(std::string_view name, std::int64_t value) override;
+  bool invidxEnabled() const override { return engine_.options().invidx; }
 
   std::size_t statementCacheSize() const override { return cache_.size(); }
   const StatementCacheStats& statementCacheStats() const override { return stats_; }

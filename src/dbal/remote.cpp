@@ -3,6 +3,7 @@
 #include <deque>
 #include <utility>
 
+#include "minidb/sql/options.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/net.h"
@@ -573,33 +574,11 @@ const minidb::RecoveryStats& RemoteConnection::recoveryStats() const {
   return kNone;
 }
 
-void RemoteConnection::setUseIndexes(bool enabled) {
+void RemoteConnection::setOption(std::string_view name, std::int64_t value) {
   WireWriter w;
-  w.u8(static_cast<std::uint8_t>(server::SessionOption::UseIndexes));
-  w.i64(enabled ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(minidb::sql::checkOption(name, value) + 1));
+  w.i64(value);
   wire_->expect(server::makeFrame(Op::SetOption, std::move(w)), Op::Ok);
-}
-
-void RemoteConnection::setExecThreads(int n) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(server::SessionOption::ExecThreads));
-  w.i64(n < 0 ? 0 : n);
-  wire_->expect(server::makeFrame(Op::SetOption, std::move(w)), Op::Ok);
-}
-
-void RemoteConnection::setExecBatchRows(std::size_t n) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(server::SessionOption::ExecBatchRows));
-  w.i64(static_cast<std::int64_t>(n));
-  wire_->expect(server::makeFrame(Op::SetOption, std::move(w)), Op::Ok);
-}
-
-void RemoteConnection::setInvidxEnabled(bool enabled) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(server::SessionOption::InvIdx));
-  w.i64(enabled ? 1 : 0);
-  wire_->expect(server::makeFrame(Op::SetOption, std::move(w)), Op::Ok);
-  invidx_enabled_ = enabled;
 }
 
 void RemoteConnection::clearStatementCache() {

@@ -93,15 +93,8 @@ class RemoteConnection final : public Connection {
   std::uint64_t sizeBytes() const override;
   const minidb::RecoveryStats& recoveryStats() const override;
 
-  void setUseIndexes(bool enabled) override;
-  void setExecThreads(int n) override;
-  /// Session-scoped server-side batch size (SET_OPTION round trip); the
-  /// server validates and caps it like a local Engine.
-  void setExecBatchRows(std::size_t n) override;
-  /// Session-scoped inverted-index switch (SET_OPTION round trip); the
-  /// last value sent is cached client-side for invidxEnabled().
-  void setInvidxEnabled(bool enabled) override;
-  bool invidxEnabled() const override { return invidx_enabled_; }
+  /// Validates against the option table, then one SET_OPTION round trip.
+  void setOption(std::string_view name, std::int64_t value) override;
 
   /// Remote handles held by this client (server-side statements stay alive
   /// until closed, so this doubles as a leak check in tests).
@@ -151,10 +144,6 @@ class RemoteConnection final : public Connection {
 
   std::shared_ptr<Wire> wire_;
   std::unordered_map<std::string, std::shared_ptr<StmtHandle>> stmts_;
-  // Client-side echo of the server's session invidx flag (the wire has no
-  // GET_OPTION; new sessions start from the server default, which is on
-  // unless ptserverd was started with --invidx 0).
-  bool invidx_enabled_ = true;
 };
 
 }  // namespace perftrack::dbal

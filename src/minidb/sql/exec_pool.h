@@ -30,7 +30,8 @@ namespace perftrack::minidb::sql {
 
 class ExecPool {
  public:
-  /// Hard ceiling on pool threads (beyond any sane PT_EXEC_THREADS value).
+  /// Hard ceiling on pool threads; a larger exec_threads degree just runs
+  /// more slots per thread.
   static constexpr std::size_t kMaxThreads = 64;
 
   /// The process-wide pool. Never destroyed (see file comment).

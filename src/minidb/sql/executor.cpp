@@ -1,12 +1,8 @@
 #include "minidb/sql/executor.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
-#include <thread>
 #include <utility>
-
-#include "minidb/sql/exec_pool.h"
 
 #include "minidb/sql/lexer.h"
 #include "minidb/sql/parser.h"
@@ -56,63 +52,11 @@ std::uint64_t approxRowBytes(const Row& row) {
 
 }  // namespace
 
-int defaultExecThreads() {
-  static const int resolved = [] {
-    if (const char* env = std::getenv("PT_EXEC_THREADS")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n >= 1) {
-        return static_cast<int>(
-            std::min<long>(n, static_cast<long>(ExecPool::kMaxThreads) + 1));
-      }
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-  }();
-  return resolved;
-}
-
-std::size_t defaultParallelMinPages() {
-  static const std::size_t resolved = [] {
-    if (const char* env = std::getenv("PT_EXEC_MIN_PAGES")) {
-      const long n = std::strtol(env, nullptr, 10);
-      if (n >= 0) return static_cast<std::size_t>(n);
-    }
-    return std::size_t{16};
-  }();
-  return resolved;
-}
-
-std::size_t defaultExecBatchRows() {
-  static const std::size_t resolved = [] {
-    if (const char* env = std::getenv("PT_EXEC_BATCH_ROWS")) {
-      char* end = nullptr;
-      const long n = std::strtol(env, &end, 10);
-      if (end != env && n >= 1) {
-        return std::min(static_cast<std::size_t>(n), kMaxExecBatchRows);
-      }
-    }
-    return std::size_t{1024};
-  }();
-  return resolved;
-}
-
-bool defaultInvidxEnabled() {
-  static const bool resolved = [] {
-    if (const char* env = std::getenv("PT_INVIDX")) {
-      const std::string v(env);
-      if (v == "0" || v == "off" || v == "false") return false;
-    }
-    return true;
-  }();
-  return resolved;
-}
-
-void Engine::setExecBatchRows(std::size_t n) {
-  if (n == 0 || n > kMaxExecBatchRows) {
-    throw SqlError("setExecBatchRows: batch size must be in [1, " +
-                   std::to_string(kMaxExecBatchRows) + "]");
-  }
-  exec_batch_rows_ = n;
+bool Engine::setOption(std::string_view name, std::int64_t value) {
+  const OptionSpec& spec = optionTable()[checkOption(name, value)];
+  if (spec.get(opts_) == value) return false;
+  spec.set(opts_, value);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -189,7 +133,7 @@ struct CursorImpl {
   bool traced = false;
   obs::QueryTrace trace;
   obs::StageTimer exec_timer;
-  std::size_t batch_rows = 1024;  // engine's execBatchRows() at open time
+  std::size_t batch_rows = 0;  // engine's batch_rows at open time
 
   ~CursorImpl() { closeImpl(); }
 
@@ -399,17 +343,17 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
   }
   Database& db = *engine_->db_;
   if (!plan_ || plan_->epoch != db.schemaEpoch() ||
-      plan_->use_indexes != engine_->use_indexes_ ||
-      plan_->invidx != engine_->invidx()) {
+      plan_->use_indexes != engine_->opts_.use_indexes ||
+      plan_->invidx != engine_->opts_.invidx) {
     if (plan_) sqlCounters().plan_revalidations.inc();
     if (traced) {
       const obs::StageTimer t;
       plan_ = std::make_shared<SelectPlan>(buildSelectPlan(
-          db, *stmt_->select, engine_->use_indexes_, engine_->invidx()));
+          db, *stmt_->select, engine_->opts_.use_indexes, engine_->opts_.invidx));
       plan_us = t.elapsedUs();
     } else {
       plan_ = std::make_shared<SelectPlan>(buildSelectPlan(
-          db, *stmt_->select, engine_->use_indexes_, engine_->invidx()));
+          db, *stmt_->select, engine_->opts_.use_indexes, engine_->opts_.invidx));
     }
   }
   sqlCounters().queries.inc();
@@ -427,9 +371,8 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
     impl->trace.plan_us = plan_us;
     impl->trace.bind_us = bind_us;
   }
-  impl->batch_rows = engine_->execBatchRows();
-  const ExecOptions exec_opts{engine_->execThreads(), engine_->parallelMinPages(),
-                              engine_->execBatchRows(), engine_->invidx()};
+  const ExecOptions& exec_opts = engine_->opts_;
+  impl->batch_rows = exec_opts.batch_rows;
   if (stmt_->explain) {
     impl->is_explain = true;
     impl->columns = {"plan"};
@@ -595,10 +538,8 @@ ResultSet Engine::execScript(std::string_view script) {
 ResultSet Engine::exec(const Statement& stmt) {
   switch (stmt.kind) {
     case Statement::Kind::Select:
-      return execSelect(*db_, *stmt.select, use_indexes_, stmt.explain,
-                        stmt.explain_analyze,
-                        ExecOptions{execThreads(), parallelMinPages(),
-                                    execBatchRows(), invidx()});
+      return execSelect(*db_, *stmt.select, opts_.use_indexes, stmt.explain,
+                        stmt.explain_analyze, opts_);
 
     case Statement::Kind::Insert: {
       const InsertStmt& ins = *stmt.insert;
@@ -639,7 +580,7 @@ ResultSet Engine::exec(const Statement& stmt) {
       Binder binder(from);
       if (upd.where) {
         binder.bind(*const_cast<Expr*>(upd.where.get()));
-        materializeSubqueries(const_cast<Expr*>(upd.where.get()), *db_, use_indexes_);
+        materializeSubqueries(const_cast<Expr*>(upd.where.get()), *db_, opts_.use_indexes);
       }
       std::vector<std::pair<int, const Expr*>> assigns;
       for (const auto& [name, expr] : upd.assignments) {
@@ -679,7 +620,7 @@ ResultSet Engine::exec(const Statement& stmt) {
       Binder binder(from);
       if (del.where) {
         binder.bind(*const_cast<Expr*>(del.where.get()));
-        materializeSubqueries(const_cast<Expr*>(del.where.get()), *db_, use_indexes_);
+        materializeSubqueries(const_cast<Expr*>(del.where.get()), *db_, opts_.use_indexes);
       }
       std::vector<RecordId> victims;
       db_->scan(def->name, [&](RecordId rid, const Row& row) {

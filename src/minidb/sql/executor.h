@@ -18,18 +18,18 @@
 // bound and executed repeatedly without re-lexing or re-parsing. SELECT
 // plans (resolved tables, conjuncts, access paths) are cached inside the
 // PreparedStatement and revalidated against Database::schemaEpoch() and the
-// engine's use-indexes flag, so DDL or ablation flips trigger a cheap
-// replan instead of returning stale plans.
+// engine's use_indexes/invidx options, so DDL or ablation flips trigger a
+// cheap replan instead of returning stale plans.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "minidb/database.h"
 #include "minidb/sql/ast.h"
+#include "minidb/sql/options.h"
 #include "minidb/sql/row_batch.h"
 
 namespace perftrack::minidb::sql {
@@ -50,25 +50,6 @@ struct ResultSet {
 class Engine;
 struct SelectPlan;  // cached plan, defined in sql/pipeline.h
 struct CursorImpl;  // cursor state, defined in executor.cpp
-
-/// Process default for Engine::execThreads(): PT_EXEC_THREADS when set (>= 1,
-/// clamped to the pool ceiling), else std::thread::hardware_concurrency().
-/// Resolved once per process.
-int defaultExecThreads();
-
-/// Process default for Engine::parallelMinPages(): PT_EXEC_MIN_PAGES when
-/// set, else 16. 0 disables the small-table gate entirely.
-std::size_t defaultParallelMinPages();
-
-/// Process default for Engine::execBatchRows(): PT_EXEC_BATCH_ROWS when set
-/// (clamped to [1, kMaxExecBatchRows]; non-numeric values are ignored), else
-/// 1024. Resolved once per process.
-std::size_t defaultExecBatchRows();
-
-/// Process default for Engine::invidx(): PT_INVIDX when set ("0"/"off"/
-/// "false" disable, anything else enables), else enabled. Resolved once per
-/// process.
-bool defaultInvidxEnabled();
 
 /// A stepping SELECT cursor: pulls one row at a time through the operator
 /// pipeline, so the first row arrives without materializing the result.
@@ -96,7 +77,7 @@ class Cursor {
   bool next(Row& row);
 
   /// Pulls the next batch of rows. `batch.capacity` bounds the refill (0 =
-  /// the engine's execBatchRows()); a true return carries at least one live
+  /// the engine's exec_batch_rows); a true return carries at least one live
   /// row in `batch.sel`. Returns false (and auto-closes) at end of stream.
   /// Interleaving with next() is allowed; rows are never duplicated.
   bool fetchBatch(RowBatch& batch);
@@ -179,7 +160,10 @@ class PreparedStatement {
 
 class Engine {
  public:
-  explicit Engine(Database& db) : db_(&db) {}
+  /// Starts from `opts` (the process defaults unless a server hands its
+  /// sessions other ones).
+  explicit Engine(Database& db, const ExecOptions& opts = processOptions())
+      : db_(&db), opts_(opts) {}
 
   /// Compiles one statement for repeated execution with bound parameters.
   PreparedStatement prepare(std::string_view sql);
@@ -199,44 +183,12 @@ class Engine {
   /// returns the last statement's result. Used for DDL batches.
   ResultSet execScript(std::string_view script);
 
-  /// When false the planner never uses indexes (ablation switch; mirrors
-  /// the paper's interest in load/query cost drivers). Cached plans built
-  /// under the other setting replan automatically on next execution.
-  void setUseIndexes(bool enabled) { use_indexes_ = enabled; }
-  bool useIndexes() const { return use_indexes_; }
-
-  /// Execution degree for parallel-eligible SELECTs (workers including the
-  /// calling thread). 0 restores the process default (PT_EXEC_THREADS or
-  /// hardware concurrency); 1 forces the serial path.
-  void setExecThreads(int n) { exec_threads_ = n; }
-  int execThreads() const {
-    return exec_threads_ > 0 ? exec_threads_ : defaultExecThreads();
-  }
-
-  /// Heap pages table 0 must span before a SELECT goes parallel; 0 disables
-  /// the gate (tests force tiny tables parallel with it).
-  void setParallelMinPages(std::size_t n) { min_pages_ = n; }
-  std::size_t parallelMinPages() const {
-    return min_pages_ ? *min_pages_ : defaultParallelMinPages();
-  }
-
-  /// Rows per pipeline batch for this engine's statements. Throws SqlError
-  /// on 0 or values above kMaxExecBatchRows (see sql/pipeline.h); unset
-  /// engines use the process default (PT_EXEC_BATCH_ROWS or 1024).
-  void setExecBatchRows(std::size_t n);
-  std::size_t execBatchRows() const {
-    return exec_batch_rows_ > 0 ? exec_batch_rows_ : defaultExecBatchRows();
-  }
-
-  /// Whether the planner may answer integer IN-list probes from the
-  /// inverted index (posting-list point lookups instead of B+-tree
-  /// descents). Unset engines use the process default (PT_INVIDX, on by
-  /// default). Cached plans built under the other setting replan
-  /// automatically on next execution.
-  void setInvidx(bool enabled) { invidx_ = enabled ? 1 : 0; }
-  bool invidx() const {
-    return invidx_ < 0 ? defaultInvidxEnabled() : invidx_ != 0;
-  }
+  /// Sets one execution option (sql/options.h) by its table name. Throws
+  /// SqlError for an unknown name or a value outside the row's range;
+  /// returns whether the value changed. Cached plans built under another
+  /// use_indexes/invidx setting replan automatically on next execution.
+  bool setOption(std::string_view name, std::int64_t value);
+  const ExecOptions& options() const { return opts_; }
 
   Database& database() { return *db_; }
 
@@ -244,11 +196,7 @@ class Engine {
   friend class PreparedStatement;
 
   Database* db_;
-  bool use_indexes_ = true;
-  int exec_threads_ = 0;                  // 0 = process default
-  std::optional<std::size_t> min_pages_;  // unset = process default
-  std::size_t exec_batch_rows_ = 0;       // 0 = process default
-  int invidx_ = -1;                       // -1 = process default
+  ExecOptions opts_;
 };
 
 }  // namespace perftrack::minidb::sql

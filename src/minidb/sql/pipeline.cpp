@@ -463,7 +463,12 @@ void materializeSubqueries(Expr* e, Database& db, bool use_indexes) {
   if (e == nullptr) return;
   if (e->kind == Expr::Kind::InSelect) {
     if (!e->subquery) throw SqlError("internal: InSelect without a subquery");
-    const ResultSet rs = execSelect(db, *e->subquery, use_indexes, /*explain=*/false);
+    // Subqueries run serially and without the inverted index.
+    ExecOptions opts = processOptions();
+    opts.degree = 1;
+    opts.invidx = false;
+    const ResultSet rs = execSelect(db, *e->subquery, use_indexes, /*explain=*/false,
+                                    /*analyze=*/false, opts);
     auto values = std::make_shared<std::set<std::string>>();
     for (const Row& row : rs.rows) {
       if (row.empty() || row[0].isNull()) continue;  // NULL never matches IN

@@ -40,6 +40,7 @@
 
 #include "minidb/database.h"
 #include "minidb/sql/ast.h"
+#include "minidb/sql/options.h"
 #include "minidb/sql/row_batch.h"
 
 namespace perftrack::minidb::sql {
@@ -298,25 +299,6 @@ struct Pipeline {
 /// sequential scans, so the realized size tracks the page fill).
 inline constexpr std::size_t kMorselTargetRows = 2048;
 
-/// Upper bound on ExecOptions::batch_rows / PT_EXEC_BATCH_ROWS. Must stay
-/// below 2^18: cursor-fed morsels are one batch each, and morsel row ranks
-/// pack the in-morsel position into 18 bits (kMorselRowBits).
-inline constexpr std::size_t kMaxExecBatchRows = 65536;
-
-/// Per-execution knobs, resolved by the Engine (or defaulted to serial).
-struct ExecOptions {
-  /// Worker count including the calling thread; 1 = today's serial path.
-  int degree = 1;
-  /// Heap pages table 0 must span before the plan goes parallel; 0 turns
-  /// the gate off (tests force tiny tables parallel with it).
-  std::size_t min_pages = 16;
-  /// Rows per RowBatch between operators (and inside worker loops).
-  std::size_t batch_rows = 1024;
-  /// Whether the planner may answer IN-list probes from the inverted index
-  /// (Engine::invidx(); PT_INVIDX process default).
-  bool invidx = false;
-};
-
 /// Single-table plans stream columnar batches from the scan straight through
 /// Filter/Project/Aggregate; joins keep the row-at-a-time tuple interface
 /// above a batched outer (table 0) side. This predicate also gates the
@@ -327,7 +309,7 @@ bool batchEligible(const SelectPlan& plan);
 /// parallel-eligibility gate); does not open any cursor until the root is
 /// open()ed, so it is safe to build for EXPLAIN only.
 Pipeline buildPipeline(Database& db, SelectPlan& plan,
-                       const ExecOptions& opts = {});
+                       const ExecOptions& opts);
 
 /// Runs the plan's uncorrelated IN (SELECT ...) subqueries (once per
 /// execution; their contents may have changed between runs).
@@ -336,19 +318,18 @@ void materializePlanSubqueries(Database& db, SelectPlan& plan);
 /// EXPLAIN text: the operator tree, one line per operator, root first,
 /// children indented two spaces per level.
 std::vector<std::string> explainPipeline(Database& db, SelectPlan& plan,
-                                         const ExecOptions& opts = {});
+                                         const ExecOptions& opts);
 
 /// Runs a previously built plan to completion (the thin materializing
 /// wrapper the exec() entry points use). With `analyze` set the plan is
 /// executed with per-operator accounting and the result is the annotated
 /// operator tree (EXPLAIN ANALYZE), one line per row.
 ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
-                         bool analyze = false, const ExecOptions& opts = {});
+                         bool analyze, const ExecOptions& opts);
 
 /// Plans and runs one SELECT (annotates the AST in place; the annotations
 /// are rewritten by every plan build, so sharing the AST is safe).
 ResultSet execSelect(Database& db, const SelectStmt& sel_const, bool use_indexes,
-                     bool explain, bool analyze = false,
-                     const ExecOptions& opts = {});
+                     bool explain, bool analyze, const ExecOptions& opts);
 
 }  // namespace perftrack::minidb::sql

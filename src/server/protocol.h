@@ -29,7 +29,8 @@
 //   FETCH   {u32 cursor_id, u32 max_rows} -> ROWS {batch}
 //   CLOSE_STMT   {u32 stmt_id}            -> OK {}
 //   CLOSE_CURSOR {u32 cursor_id}          -> OK {}
-//   SET_OPTION {u8 option, i64 value}     -> OK {}   (session-scoped)
+//   SET_OPTION {u8 option, i64 value}     -> OK {}   (session-scoped; option
+//                                            = minidb/sql/options.h row + 1)
 //   STAT    {}                            -> STAT_OK {u64 size_bytes,
 //                                                     u32 sessions, u64 frames,
 //                                                     u64 uptime_ms,
@@ -126,14 +127,6 @@ enum class ErrCode : std::uint16_t {
   BadState = 7,      // unknown stmt/cursor id, FETCH after CLOSE, txn over wire
   Shutdown = 8,      // server is draining
   Internal = 9,
-};
-
-/// Session options settable over the wire (SET_OPTION).
-enum class SessionOption : std::uint8_t {
-  UseIndexes = 1,    // value 0/1: planner ablation switch, session-scoped
-  ExecThreads = 2,   // parallel SELECT degree; 0 = server default, 1 = serial
-  ExecBatchRows = 3, // rows per pipeline batch; 0 = server default
-  InvIdx = 4,        // value 0/1: inverted-index IN-list probes, session-scoped
 };
 
 /// One decoded frame.

@@ -101,9 +101,10 @@ std::string PtServer::renderVarz() const {
   out += "pt_server_workers " + std::to_string(config_.workers) + "\n";
   out += "pt_server_max_connections " +
          std::to_string(config_.max_connections) + "\n";
-  out += "pt_server_exec_threads " + std::to_string(config_.limits.exec_threads) +
-         "\n";
-  out += "pt_server_invidx " + std::to_string(config_.limits.invidx) + "\n";
+  for (const minidb::sql::OptionSpec& spec : minidb::sql::optionTable()) {
+    out += "pt_server_" + std::string(spec.name) + " " +
+           std::to_string(spec.get(config_.limits.exec_options)) + "\n";
+  }
   out += "pt_server_default_fetch_rows " +
          std::to_string(config_.limits.default_fetch_rows) + "\n";
   out += "pt_server_max_fetch_rows " +

@@ -117,7 +117,8 @@ class PtServer {
   /// file (if any) is still writable; an "unhealthy: ..." line otherwise.
   std::string renderHealthz() const;
   /// GET /varz body: build/config introspection as "name value" lines
-  /// (protocol version, durability mode, worker/limit knobs, uptime).
+  /// (protocol version, durability mode, worker/limit knobs, the value new
+  /// sessions get for every execution option, uptime).
   std::string renderVarz() const;
 
   void pollerLoop();

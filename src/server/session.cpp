@@ -36,10 +36,8 @@ Session::Session(std::uint64_t id, minidb::Database& db, DbGate& gate,
       gate_(&gate),
       limits_(limits),
       counters_(&counters),
-      engine_(db),
+      engine_(db, limits.exec_options),
       snapshot_reads_(db.durability() == minidb::Durability::Wal) {
-  engine_.setExecThreads(limits_.exec_threads);
-  if (limits_.invidx >= 0) engine_.setInvidx(limits_.invidx != 0);
   counters_->sessions.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -367,38 +365,19 @@ Frame Session::doCloseCursor(WireReader& r) {
 }
 
 Frame Session::doSetOption(WireReader& r) {
-  const auto option = static_cast<SessionOption>(r.u8());
+  const std::uint8_t id = r.u8();
   const std::int64_t value = r.i64();
   r.expectEnd("SET_OPTION");
-  switch (option) {
-    case SessionOption::UseIndexes:
-      // Session-scoped: cached plans revalidate against the engine flag on
-      // their next execution, so no explicit invalidation is needed.
-      engine_.setUseIndexes(value != 0);
-      return Frame{Op::Ok, {}};
-    case SessionOption::ExecThreads:
-      if (value < 0 || value > 1024) {
-        return makeError(ErrCode::Protocol, "exec_threads out of range");
-      }
-      // Degree only; every session draws workers from the one process-wide
-      // ExecPool, so N parallel sessions never oversubscribe the machine.
-      engine_.setExecThreads(static_cast<int>(value));
-      return Frame{Op::Ok, {}};
-    case SessionOption::ExecBatchRows:
-      if (value < 0 ||
-          value > static_cast<std::int64_t>(minidb::sql::kMaxExecBatchRows)) {
-        return makeError(ErrCode::Protocol, "exec_batch_rows out of range");
-      }
-      if (value == 0) return Frame{Op::Ok, {}};  // 0 = keep the server default
-      engine_.setExecBatchRows(static_cast<std::size_t>(value));
-      return Frame{Op::Ok, {}};
-    case SessionOption::InvIdx:
-      // Session-scoped like UseIndexes: cached plans revalidate against the
-      // engine flag on their next execution.
-      engine_.setInvidx(value != 0);
-      return Frame{Op::Ok, {}};
+  const auto& table = minidb::sql::optionTable();
+  if (id == 0 || id > table.size()) {
+    return makeError(ErrCode::Protocol,
+                     "unknown session option " + std::to_string(id));
   }
-  return makeError(ErrCode::Protocol, "unknown session option");
+  // Session-scoped; an out-of-range value throws SqlError (ErrCode::Sql).
+  // Cached plans revalidate against the engine's options on their next
+  // execution, so no explicit invalidation is needed.
+  engine_.setOption(table[id - 1].name, value);
+  return Frame{Op::Ok, {}};
 }
 
 Frame Session::doStat(WireReader& r) {

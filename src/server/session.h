@@ -61,15 +61,11 @@ struct SessionLimits {
   std::size_t fetch_byte_budget = 1u << 20;
   /// Whether the SHUTDOWN opcode is honored.
   bool allow_shutdown = true;
-  /// Default parallel SELECT degree for new sessions (ptserverd
-  /// --exec-threads). 0 = process default (PT_EXEC_THREADS or hardware
-  /// concurrency), 1 = serial. Sessions may override via SET_OPTION; every
-  /// session draws from the one process-wide ExecPool either way.
-  int exec_threads = 0;
-  /// Default inverted-index switch for new sessions (ptserverd --invidx).
-  /// -1 = process default (PT_INVIDX, on by default); 0/1 force it off/on.
-  /// Sessions may override via SET_OPTION.
-  int invidx = -1;
+  /// Execution options new sessions start from (ptserverd derives one
+  /// flag per minidb/sql/options.h row). Sessions may override them via
+  /// SET_OPTION; every session draws workers from the one process-wide
+  /// ExecPool either way.
+  minidb::sql::ExecOptions exec_options = minidb::sql::processOptions();
 };
 
 /// Monotonic counters shared across sessions (STAT frames, tests, bench).

@@ -104,14 +104,14 @@ TEST_F(StatementCacheTest, UseIndexesSwitchClearsCacheAndChangesPlans) {
   auto plan = conn_->exec(q);
   EXPECT_NE(planText(plan).find("IN multi-point probe, 2 keys"),
             std::string::npos);
-  conn_->setUseIndexes(false);
+  conn_->setOption("use_indexes", false);
   EXPECT_EQ(conn_->statementCacheSize(), 0u);
   plan = conn_->exec(q);
   EXPECT_NE(planText(plan).find("SCAN t AS t"), std::string::npos);
   EXPECT_EQ(planText(plan).find("USING INDEX"), std::string::npos);
   // Results stay identical either way.
   EXPECT_EQ(conn_->exec("SELECT v FROM t WHERE k IN (1, 3)").rows.size(), 2u);
-  conn_->setUseIndexes(true);
+  conn_->setOption("use_indexes", true);
   plan = conn_->exec(q);
   EXPECT_NE(planText(plan).find("USING INDEX"), std::string::npos);
 }

@@ -123,13 +123,13 @@ TEST_F(NullSemanticsTest, ComparisonsWithNullNeverMatch) {
 TEST_F(NullSemanticsTest, NullsAreIndexableAndScannable) {
   sql_.exec("CREATE INDEX t_by_grp ON t (grp)");
   // Indexed and scanned plans agree in the presence of NULL keys.
-  sql_.setUseIndexes(true);
+  sql_.setOption("use_indexes", true);
   const auto indexed = sql_.exec("SELECT COUNT(*) FROM t WHERE grp = 'a'");
-  sql_.setUseIndexes(false);
+  sql_.setOption("use_indexes", false);
   const auto scanned = sql_.exec("SELECT COUNT(*) FROM t WHERE grp = 'a'");
   EXPECT_EQ(indexed.rows[0][0].asInt(), scanned.rows[0][0].asInt());
   // IS NULL still finds the null-keyed rows.
-  sql_.setUseIndexes(true);
+  sql_.setOption("use_indexes", true);
   EXPECT_EQ(sql_.exec("SELECT COUNT(*) FROM t WHERE grp IS NULL").rows[0][0].asInt(), 2);
 }
 

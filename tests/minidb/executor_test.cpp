@@ -215,7 +215,7 @@ TEST_F(ExecutorTest, InsertReportsLastInsertId) {
 TEST_F(ExecutorTest, IndexedLookupMatchesScanResults) {
   sql_.exec("CREATE INDEX runs_by_app ON runs (app)");
   const ResultSet with_index = sql_.exec("SELECT id FROM runs WHERE app = 'smg' ORDER BY id");
-  sql_.setUseIndexes(false);
+  sql_.setOption("use_indexes", false);
   const ResultSet without = sql_.exec("SELECT id FROM runs WHERE app = 'smg' ORDER BY id");
   ASSERT_EQ(with_index.rows.size(), without.rows.size());
   for (std::size_t i = 0; i < with_index.rows.size(); ++i) {

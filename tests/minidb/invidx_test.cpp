@@ -267,18 +267,18 @@ class PostingPathTest : public ::testing::Test {
 };
 
 TEST_F(PostingPathTest, ExplainShowsPostingIndexWhenEnabled) {
-  sql_.setInvidx(true);
+  sql_.setOption("invidx", true);
   const auto plan = planText(sql_.exec("EXPLAIN SELECT id FROM items WHERE grp IN (1, 2)"));
   EXPECT_NE(plan.find("USING POSTING INDEX"), std::string::npos) << plan;
 
-  sql_.setInvidx(false);
+  sql_.setOption("invidx", false);
   const auto legacy = planText(sql_.exec("EXPLAIN SELECT id FROM items WHERE grp IN (1, 2)"));
   EXPECT_EQ(legacy.find("USING POSTING INDEX"), std::string::npos) << legacy;
   EXPECT_NE(legacy.find("multi-point probe"), std::string::npos) << legacy;
 }
 
 TEST_F(PostingPathTest, ExplainAnalyzeShowsPostingStats) {
-  sql_.setInvidx(true);
+  sql_.setOption("invidx", true);
   const auto plan =
       planText(sql_.exec("EXPLAIN ANALYZE SELECT id FROM items WHERE grp IN (1, 2)"));
   EXPECT_NE(plan.find("postings:"), std::string::npos) << plan;
@@ -293,9 +293,9 @@ TEST_F(PostingPathTest, ResultsIdenticalToLegacyPath) {
       "SELECT COUNT(*) FROM items WHERE grp IN (0, 6)",
   };
   for (const char* q : queries) {
-    sql_.setInvidx(false);
+    sql_.setOption("invidx", false);
     const auto legacy = sql_.exec(q);
-    sql_.setInvidx(true);
+    sql_.setOption("invidx", true);
     const auto fast = sql_.exec(q);
     ASSERT_EQ(fast.rows.size(), legacy.rows.size()) << q;
     for (std::size_t r = 0; r < fast.rows.size(); ++r) {
@@ -308,7 +308,7 @@ TEST_F(PostingPathTest, ResultsIdenticalToLegacyPath) {
 }
 
 TEST_F(PostingPathTest, DmlBetweenQueriesSeesFreshRows) {
-  sql_.setInvidx(true);
+  sql_.setOption("invidx", true);
   const auto before = sql_.exec("SELECT id FROM items WHERE grp IN (1)");
   sql_.exec("INSERT INTO items (grp, name) VALUES (1, 'fresh')");
   const auto after = sql_.exec("SELECT id FROM items WHERE grp IN (1)");
@@ -319,17 +319,17 @@ TEST_F(PostingPathTest, DmlBetweenQueriesSeesFreshRows) {
 }
 
 TEST_F(PostingPathTest, MixedTypeKeysFallBackToBtree) {
-  sql_.setInvidx(true);
+  sql_.setOption("invidx", true);
   // 'n5' is not an integer: the iterator declines the posting index at
   // doOpen and probes the B-tree per key instead; results stay correct.
   const auto rs = sql_.exec("SELECT id FROM items WHERE grp IN (1, 'x')");
-  sql_.setInvidx(false);
+  sql_.setOption("invidx", false);
   const auto legacy = sql_.exec("SELECT id FROM items WHERE grp IN (1, 'x')");
   EXPECT_EQ(rs.rows.size(), legacy.rows.size());
 }
 
 TEST_F(PostingPathTest, ProbeCounterAdvances) {
-  sql_.setInvidx(true);
+  sql_.setOption("invidx", true);
   const std::uint64_t before = counters().probes.value();
   (void)sql_.exec("SELECT id FROM items WHERE grp IN (1, 2, 3)");
   EXPECT_GE(counters().probes.value(), before + 3);

@@ -2,9 +2,9 @@
 // serial path, morsel-boundary edge cases, the shared ExecPool, cursor-pin
 // interplay, EXPLAIN rendering, and the exec metrics.
 //
-// Every test forces the degree explicitly (Engine::setExecThreads) and
-// disables the small-table gate (setParallelMinPages(0 or 1)) — the suite
-// must behave identically on a 1-core CI box and a 64-core workstation.
+// Every test forces the degree explicitly (setOption("exec_threads", n))
+// and disables the small-table gate (setOption("exec_min_pages", 0 or 1))
+// — the suite must behave identically on a 1-core CI box and a 64-core workstation.
 #include <atomic>
 #include <set>
 #include <stdexcept>
@@ -68,7 +68,7 @@ class ParallelExecTest : public ::testing::Test {
       }
     }
     if (!insert.empty()) sql_.exec(insert);
-    sql_.setParallelMinPages(1);
+    sql_.setOption("exec_min_pages", 1);
   }
 
   /// Drains `query` through the vectorized fetchBatch() cursor surface.
@@ -89,10 +89,10 @@ class ParallelExecTest : public ::testing::Test {
   /// Runs `query` serially and at several degrees; expects identical
   /// output — materialized, cursor-stepped, and batch-fetched.
   void expectDifferentialMatch(const std::string& query) {
-    sql_.setExecThreads(1);
+    sql_.setOption("exec_threads", 1);
     const std::string serial = canon(sql_.exec(query));
     for (const int degree : {2, 3, 8}) {
-      sql_.setExecThreads(degree);
+      sql_.setOption("exec_threads", degree);
       EXPECT_EQ(canon(sql_.exec(query)), serial)
           << "materialized mismatch at degree " << degree << ": " << query;
       // Cursor-stepped: same pipeline pulled one row at a time.
@@ -106,7 +106,7 @@ class ParallelExecTest : public ::testing::Test {
       EXPECT_EQ(canon(drainBatches(query)), serial)
           << "batch cursor mismatch at degree " << degree << ": " << query;
     }
-    sql_.setExecThreads(1);
+    sql_.setOption("exec_threads", 1);
   }
 
   std::unique_ptr<Database> db_;
@@ -122,7 +122,7 @@ TEST_F(ParallelExecTest, GroupedAggregatesMatchSerial) {
 }
 
 TEST_F(ParallelExecTest, NullGroupIsOneGroup) {
-  sql_.setExecThreads(8);
+  sql_.setOption("exec_threads", 8);
   const ResultSet rs =
       sql_.exec("SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp");
   // groups: NULL plus 0..6.
@@ -214,7 +214,7 @@ TEST_F(ParallelExecTest, SubqueryInListMatchesSerial) {
 
 TEST_F(ParallelExecTest, EmptyTable) {
   sql_.exec("CREATE TABLE empty (a INTEGER, b INTEGER)");
-  sql_.setExecThreads(8);
+  sql_.setOption("exec_threads", 8);
   EXPECT_EQ(sql_.exec("SELECT a, COUNT(*) FROM empty GROUP BY a ORDER BY a").rows.size(),
             0u);
   // Fully-aggregated SELECT over zero rows still yields the one empty-input row.
@@ -227,7 +227,7 @@ TEST_F(ParallelExecTest, EmptyTable) {
 TEST_F(ParallelExecTest, TableSmallerThanOneMorsel) {
   sql_.exec("CREATE TABLE tiny (a INTEGER)");
   sql_.exec("INSERT INTO tiny VALUES (3),(1),(2)");
-  sql_.setExecThreads(8);
+  sql_.setOption("exec_threads", 8);
   const ResultSet rs = sql_.exec("SELECT a FROM tiny ORDER BY a");
   ASSERT_EQ(rs.rows.size(), 3u);
   EXPECT_EQ(rs.rows[0][0].asInt(), 1);
@@ -237,7 +237,7 @@ TEST_F(ParallelExecTest, TableSmallerThanOneMorsel) {
 TEST_F(ParallelExecTest, DegreeExceedsMorselCount) {
   // 9000 rows span only a handful of page morsels; degree 64 must clamp,
   // not hang or duplicate.
-  sql_.setExecThreads(64);
+  sql_.setOption("exec_threads", 64);
   const ResultSet rs =
       sql_.exec("SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp");
   EXPECT_EQ(rs.rows.size(), 8u);
@@ -247,17 +247,17 @@ TEST_F(ParallelExecTest, DegreeExceedsMorselCount) {
 }
 
 TEST_F(ParallelExecTest, LimitZero) {
-  sql_.setExecThreads(8);
+  sql_.setOption("exec_threads", 8);
   EXPECT_EQ(sql_.exec("SELECT id FROM m ORDER BY val LIMIT 0").rows.size(), 0u);
 }
 
 TEST_F(ParallelExecTest, MinPagesGateKeepsSmallTablesSerial) {
-  sql_.setExecThreads(8);
-  sql_.setParallelMinPages(100000);  // nothing is this big
+  sql_.setOption("exec_threads", 8);
+  sql_.setOption("exec_min_pages", 100000);  // nothing is this big
   EXPECT_EQ(planText(sql_.exec("EXPLAIN SELECT grp, COUNT(*) FROM m GROUP BY grp"))
                 .find("GATHER"),
             std::string::npos);
-  sql_.setParallelMinPages(1);
+  sql_.setOption("exec_min_pages", 1);
   EXPECT_NE(planText(sql_.exec("EXPLAIN SELECT grp, COUNT(*) FROM m GROUP BY grp"))
                 .find("GATHER"),
             std::string::npos);
@@ -266,26 +266,26 @@ TEST_F(ParallelExecTest, MinPagesGateKeepsSmallTablesSerial) {
 // --- batch-size edge cases ---------------------------------------------------
 
 TEST_F(ParallelExecTest, BatchSizeOneMatchesSerial) {
-  sql_.setExecBatchRows(1);
+  sql_.setOption("exec_batch_rows", 1);
   expectDifferentialMatch("SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp");
   expectDifferentialMatch("SELECT id, val FROM m WHERE val < 10 ORDER BY id");
 }
 
 TEST_F(ParallelExecTest, BatchLargerThanTableMatchesSerial) {
-  sql_.setExecBatchRows(kMaxExecBatchRows);  // 65536 > the 9000-row table
+  sql_.setOption("exec_batch_rows", kMaxExecBatchRows);  // 65536 > the 9000-row table
   expectDifferentialMatch("SELECT id, val FROM m WHERE grp = 3 ORDER BY id");
   expectDifferentialMatch("SELECT DISTINCT tag FROM m ORDER BY tag");
 }
 
 TEST_F(ParallelExecTest, LimitCutsMidBatch) {
-  sql_.setExecBatchRows(10);
+  sql_.setOption("exec_batch_rows", 10);
   // 23 = two full batches plus a partial third; the limit lands mid-batch.
   expectDifferentialMatch("SELECT id, val FROM m ORDER BY val, id LIMIT 23");
   expectDifferentialMatch("SELECT id FROM m ORDER BY id LIMIT 23 OFFSET 5");
 }
 
 TEST_F(ParallelExecTest, FullyFilteredBatchesAreSkipped) {
-  sql_.setExecBatchRows(8);
+  sql_.setOption("exec_batch_rows", 8);
   // One matching row in 9000: nearly every batch compacts to an empty
   // selection vector, which must not surface as a premature end-of-stream.
   expectDifferentialMatch("SELECT id, tag FROM m WHERE id = 4567");
@@ -294,16 +294,16 @@ TEST_F(ParallelExecTest, FullyFilteredBatchesAreSkipped) {
 }
 
 TEST_F(ParallelExecTest, SetExecBatchRowsValidates) {
-  EXPECT_THROW(sql_.setExecBatchRows(0), util::SqlError);
-  EXPECT_THROW(sql_.setExecBatchRows(kMaxExecBatchRows + 1), util::SqlError);
-  sql_.setExecBatchRows(1);                  // boundary values are accepted
-  sql_.setExecBatchRows(kMaxExecBatchRows);
+  EXPECT_THROW(sql_.setOption("exec_batch_rows", 0), util::SqlError);
+  EXPECT_THROW(sql_.setOption("exec_batch_rows", kMaxExecBatchRows + 1), util::SqlError);
+  sql_.setOption("exec_batch_rows", 1);                  // boundary values are accepted
+  sql_.setOption("exec_batch_rows", kMaxExecBatchRows);
 }
 
 // --- plan shape gating -------------------------------------------------------
 
 TEST_F(ParallelExecTest, StreamingShapesStaySerial) {
-  sql_.setExecThreads(8);
+  sql_.setOption("exec_threads", 8);
   // Plain projection streams; no blocking operator above -> no gather.
   EXPECT_EQ(planText(sql_.exec("EXPLAIN SELECT id FROM m")).find("GATHER"),
             std::string::npos);
@@ -311,7 +311,7 @@ TEST_F(ParallelExecTest, StreamingShapesStaySerial) {
   EXPECT_EQ(planText(sql_.exec("EXPLAIN SELECT id FROM m LIMIT 5")).find("GATHER"),
             std::string::npos);
   // Degree 1 is exactly the serial path.
-  sql_.setExecThreads(1);
+  sql_.setOption("exec_threads", 1);
   EXPECT_EQ(
       planText(sql_.exec("EXPLAIN SELECT grp, COUNT(*) FROM m GROUP BY grp"))
           .find("GATHER"),
@@ -319,7 +319,7 @@ TEST_F(ParallelExecTest, StreamingShapesStaySerial) {
 }
 
 TEST_F(ParallelExecTest, ExplainShowsGatherSubtree) {
-  sql_.setExecThreads(4);
+  sql_.setOption("exec_threads", 4);
   const std::string plan = planText(
       sql_.exec("EXPLAIN SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp"));
   EXPECT_NE(plan.find("GATHER (workers=4, partial aggregate)"), std::string::npos)
@@ -333,7 +333,7 @@ TEST_F(ParallelExecTest, ExplainShowsGatherSubtree) {
 }
 
 TEST_F(ParallelExecTest, ExplainAnalyzeShowsPerWorkerStats) {
-  sql_.setExecThreads(4);
+  sql_.setOption("exec_threads", 4);
   const std::string plan = planText(sql_.exec(
       "EXPLAIN ANALYZE SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp"));
   EXPECT_NE(plan.find("GATHER (workers=4, partial aggregate) (actual rows=8"),
@@ -347,7 +347,7 @@ TEST_F(ParallelExecTest, ExplainAnalyzeShowsPerWorkerStats) {
 // --- cursor-pin interplay ----------------------------------------------------
 
 TEST_F(ParallelExecTest, OpenCursorDuringParallelQueryKeepsPin) {
-  sql_.setExecThreads(4);
+  sql_.setOption("exec_threads", 4);
   // A stepping cursor over a parallel SELECT holds the storage pin from
   // open to close; DDL must fail while it is open and succeed after.
   Cursor cur = sql_.openCursor("SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp");
@@ -369,7 +369,7 @@ TEST_F(ParallelExecTest, ExecMetricsMove) {
   const auto morsels0 = reg.counter("pt_exec_morsels_dispatched_total").value();
   const auto queries0 = reg.counter("pt_exec_parallel_queries_total").value();
   const auto waits0 = reg.histogram("pt_exec_gather_wait_ms").count();
-  sql_.setExecThreads(4);
+  sql_.setOption("exec_threads", 4);
   sql_.exec("SELECT grp, COUNT(*) FROM m GROUP BY grp ORDER BY grp");
   EXPECT_GT(reg.counter("pt_exec_morsels_dispatched_total").value(), morsels0);
   EXPECT_EQ(reg.counter("pt_exec_parallel_queries_total").value(), queries0 + 1);

@@ -140,12 +140,12 @@ TEST_F(PreparedTest, ExplainThroughPreparedReflectsIndexToggle) {
   stmt.bind(1, Value("irs"));
   EXPECT_NE(planText(stmt.execute()).find("USING INDEX runs_by_app"),
             std::string::npos);
-  sql_.setUseIndexes(false);
+  sql_.setOption("use_indexes", false);
   // The cached plan was built under use_indexes=true; it must be rebuilt.
   const std::string scan_plan = planText(stmt.execute());
   EXPECT_NE(scan_plan.find("SCAN runs AS runs"), std::string::npos);
   EXPECT_EQ(scan_plan.find("USING INDEX"), std::string::npos);
-  sql_.setUseIndexes(true);
+  sql_.setOption("use_indexes", true);
   EXPECT_NE(planText(stmt.execute()).find("USING INDEX"), std::string::npos);
 }
 
@@ -154,7 +154,7 @@ TEST_F(PreparedTest, ExplainThroughPreparedReflectsIndexToggle) {
 TEST_F(PreparedTest, ExplainInListUsesMultiPointProbe) {
   // Pin the inverted-index path off: this test documents the B-tree probe
   // (the posting-path twin lives in invidx_test.cpp).
-  sql_.setInvidx(false);
+  sql_.setOption("invidx", false);
   sql_.exec("CREATE INDEX runs_by_np ON runs (nprocs)");
   const ResultSet rs =
       sql_.exec("EXPLAIN SELECT id FROM runs WHERE nprocs IN (8, 32, 99)");
@@ -165,7 +165,7 @@ TEST_F(PreparedTest, ExplainInListUsesMultiPointProbe) {
 
 TEST_F(PreparedTest, ExplainInListFallsBackToScanWithoutIndexes) {
   sql_.exec("CREATE INDEX runs_by_np ON runs (nprocs)");
-  sql_.setUseIndexes(false);
+  sql_.setOption("use_indexes", false);
   const ResultSet rs =
       sql_.exec("EXPLAIN SELECT id FROM runs WHERE nprocs IN (8, 32)");
   EXPECT_NE(planText(rs).find("SCAN runs AS runs"), std::string::npos);
@@ -191,7 +191,7 @@ TEST_F(PreparedTest, InListProbeMatchesHeapScanResults) {
   sql_.exec("CREATE INDEX runs_by_np ON runs (nprocs)");
   const char* q = "SELECT id FROM runs WHERE nprocs IN (8, 32) ORDER BY id";
   const ResultSet indexed = sql_.exec(q);
-  sql_.setUseIndexes(false);
+  sql_.setOption("use_indexes", false);
   const ResultSet scanned = sql_.exec(q);
   ASSERT_EQ(indexed.rows.size(), 4u);
   ASSERT_EQ(scanned.rows.size(), indexed.rows.size());
@@ -218,7 +218,7 @@ TEST_F(PreparedTest, InListProbeWithBoundParameters) {
 }
 
 TEST_F(PreparedTest, InListProbeOnJoinColumn) {
-  sql_.setInvidx(false);  // assert the B-tree probe shape specifically
+  sql_.setOption("invidx", false);  // assert the B-tree probe shape specifically
   sql_.exec("CREATE TABLE tags (run_id INTEGER, tag TEXT)");
   sql_.exec("CREATE INDEX tags_by_run ON tags (run_id)");
   sql_.exec("INSERT INTO tags VALUES (1, 'a'), (2, 'b'), (4, 'c'), (4, 'd')");

@@ -50,9 +50,9 @@ TEST_P(SqlProperty, IndexAndScanPlansAgree) {
         "SELECT id FROM t WHERE score > 50 ORDER BY id",
         "SELECT id FROM t WHERE score >= 25 AND score <= 75 ORDER BY id",
         "SELECT id FROM t WHERE grp = 2 AND score < 40 ORDER BY id"}) {
-    sql.setUseIndexes(true);
+    sql.setOption("use_indexes", true);
     const ResultSet indexed = sql.exec(query);
-    sql.setUseIndexes(false);
+    sql.setOption("use_indexes", false);
     const ResultSet scanned = sql.exec(query);
     ASSERT_EQ(indexed.rows.size(), scanned.rows.size()) << query;
     for (std::size_t i = 0; i < indexed.rows.size(); ++i) {
@@ -123,9 +123,9 @@ TEST_P(SqlProperty, DeleteThenCountIsConsistent) {
   EXPECT_EQ(del.rows_affected, doomed);
   EXPECT_EQ(sql.exec("SELECT COUNT(*) FROM t").rows[0][0].asInt(), before - doomed);
   // Index consistency after bulk delete: indexed query equals scan.
-  sql.setUseIndexes(true);
+  sql.setOption("use_indexes", true);
   const auto indexed = sql.exec("SELECT COUNT(*) FROM t WHERE grp = 3");
-  sql.setUseIndexes(false);
+  sql.setOption("use_indexes", false);
   const auto scanned = sql.exec("SELECT COUNT(*) FROM t WHERE grp = 3");
   EXPECT_EQ(indexed.rows[0][0].asInt(), scanned.rows[0][0].asInt());
 }

@@ -214,7 +214,7 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
   Engine cur(*db_cur);
   Engine bat(*db_bat);
   // Odd batch size so nearly every SELECT ends on a partial final batch.
-  bat.setExecBatchRows(7);
+  bat.setOption("exec_batch_rows", 7);
   const char* ddl =
       "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT, r REAL)";
   lit.exec(ddl);

@@ -88,7 +88,7 @@ TEST_P(TxnProperty, RandomOpsMatchReferenceModel) {
     const auto expected = std::count_if(
         working.begin(), working.end(),
         [&](const auto& entry) { return entry.second.first == k; });
-    sql.setUseIndexes(true);
+    sql.setOption("use_indexes", true);
     const auto indexed =
         sql.exec("SELECT COUNT(*) FROM t WHERE k = " + std::to_string(k));
     EXPECT_EQ(indexed.rows[0][0].asInt(), expected) << "k=" << k;

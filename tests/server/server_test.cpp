@@ -207,9 +207,9 @@ TEST_F(ServerTest, SetUseIndexesIsSessionScoped) {
   conn->exec("CREATE TABLE t (v INTEGER)");
   conn->exec("CREATE INDEX idx_v ON t (v)");
   conn->exec("INSERT INTO t VALUES (5)");
-  conn->setUseIndexes(false);
+  conn->setOption("use_indexes", false);
   EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t WHERE v = 5"), 1);
-  conn->setUseIndexes(true);
+  conn->setOption("use_indexes", true);
   EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t WHERE v = 5"), 1);
 }
 
