@@ -36,6 +36,9 @@
 #                     bench_resource_match (8 families x 100k foci; full
 #                     match, count-only popcount, and top-K early
 #                     termination, with `speedup` per invidx row)
+#   BENCH_diag.json   google-benchmark output of bench_diag (DIFF latency on
+#                     a Frost IRS np16 pair and an SMG-UV np128 pair, with
+#                     `results` and `aligned` counters per pair)
 #
 # Every run also leaves a METRICS_<name>.prom sidecar — the Prometheus
 # exposition of the process's metrics registry at exit (PT_METRICS_SNAPSHOT)
@@ -57,7 +60,7 @@ bench_dir="${1:-$repo_root/build/bench}"
 out_dir="${2:-$bench_dir}"
 mkdir -p "$out_dir"
 
-for bin in bench_fig3_querysession bench_query_scaling bench_table1_ingest bench_durability bench_cursor bench_server bench_obs bench_resource_match; do
+for bin in bench_fig3_querysession bench_query_scaling bench_table1_ingest bench_durability bench_cursor bench_server bench_obs bench_resource_match bench_diag; do
   if [[ ! -x "$bench_dir/$bin" ]]; then
     echo "bench_smoke: $bench_dir/$bin not built" >&2
     exit 1
@@ -146,4 +149,12 @@ PT_RESOURCE_MATCH_JSON="$out_dir/BENCH_resource_match.json" \
   "$bench_dir/bench_resource_match"
 check_snapshot "$out_dir/METRICS_resource_match.prom"
 
-echo "bench_smoke: wrote $out_dir/BENCH_fig3.json, $out_dir/BENCH_query_scaling.json, $out_dir/BENCH_table1.json, $out_dir/BENCH_durability.json, $out_dir/BENCH_cursor.json, $out_dir/BENCH_server.json, $out_dir/BENCH_obs.json, and $out_dir/BENCH_resource_match.json (plus METRICS_*.prom sidecars)"
+echo "== bench_diag (short run) =="
+PT_METRICS_SNAPSHOT="$out_dir/METRICS_diag.prom" \
+  "$bench_dir/bench_diag" \
+  --benchmark_min_time=0.05 \
+  --benchmark_out="$out_dir/BENCH_diag.json" \
+  --benchmark_out_format=json
+check_snapshot "$out_dir/METRICS_diag.prom"
+
+echo "bench_smoke: wrote $out_dir/BENCH_fig3.json, $out_dir/BENCH_query_scaling.json, $out_dir/BENCH_table1.json, $out_dir/BENCH_durability.json, $out_dir/BENCH_cursor.json, $out_dir/BENCH_server.json, $out_dir/BENCH_obs.json, $out_dir/BENCH_resource_match.json, and $out_dir/BENCH_diag.json (plus METRICS_*.prom sidecars)"

@@ -26,10 +26,13 @@
 // span is client-side encoding only: the parameters travel inside the
 // EXECUTE round trip, which execute covers.
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -286,7 +289,7 @@ int main(int argc, char** argv) {
         const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
         if (flag == "--top" && value != nullptr) {
           const auto k = util::parseInt(value);
-          if (!k || *k < 0) {
+          if (!k || *k < 0 || *k > std::numeric_limits<std::uint32_t>::max()) {
             std::fprintf(stderr, "ptquery: bad --top value '%s'\n", value);
             return 2;
           }
@@ -294,7 +297,7 @@ int main(int argc, char** argv) {
           ++i;
         } else if (flag == "--threshold" && value != nullptr) {
           const auto t = util::parseReal(value);
-          if (!t || *t < 0) {
+          if (!t || !std::isfinite(*t) || *t < 0) {
             std::fprintf(stderr, "ptquery: bad --threshold value '%s'\n", value);
             return 2;
           }
@@ -302,7 +305,7 @@ int main(int argc, char** argv) {
           ++i;
         } else if (flag == "--abs" && value != nullptr) {
           const auto t = util::parseReal(value);
-          if (!t || *t < 0) {
+          if (!t || !std::isfinite(*t) || *t < 0) {
             std::fprintf(stderr, "ptquery: bad --abs value '%s'\n", value);
             return 2;
           }

@@ -39,111 +39,204 @@ DiagMetrics& metrics() {
   return m;
 }
 
-std::int64_t executionId(minidb::sql::Engine& engine, const std::string& name) {
-  auto stmt = engine.prepare("SELECT id FROM execution WHERE name = ?");
-  ResultSet rs = stmt.execute({Value(name)});
-  if (rs.rows.empty()) throw util::ModelError("no such execution: " + name);
-  return rs.rows[0][0].asInt();
-}
-
 /// Chunk size for inlined integer IN-lists. Large enough to amortize the
-/// per-statement cost, small enough that the planner's posting-probe path
-/// (invidx) stays in its sweet spot.
+/// per-statement cost, small enough that each probe list stays a short
+/// primary-key range walk.
 constexpr std::size_t kInChunk = 256;
 
-/// id -> full_name for every resource in `ids`, fetched in chunked IN-list
-/// probes on the resource_item primary key.
-std::unordered_map<std::int64_t, std::string> fetchResourceNames(
-    minidb::sql::Engine& engine, const std::vector<std::int64_t>& ids) {
+/// id -> name for each of `ids` that has a row, fetched in chunked
+/// primary-key IN-list probes over the distinct ids; `select_prefix` is the
+/// statement up to its IN-list, "SELECT id, <name> FROM <table> WHERE id IN (".
+std::unordered_map<std::int64_t, std::string> fetchNames(
+    minidb::sql::Engine& engine, const char* select_prefix,
+    std::vector<std::int64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   std::unordered_map<std::int64_t, std::string> out;
   out.reserve(ids.size());
   for (std::size_t i = 0; i < ids.size(); i += kInChunk) {
     const std::size_t end = std::min(ids.size(), i + kInChunk);
-    std::string sql = "SELECT id, full_name FROM resource_item WHERE id IN (";
+    std::string sql = select_prefix;
     for (std::size_t j = i; j < end; ++j) {
       if (j > i) sql += ',';
       sql += std::to_string(ids[j]);
     }
     sql += ')';
-    ResultSet rs = engine.exec(sql);
-    for (const auto& row : rs.rows) out.emplace(row[0].asInt(), row[1].asText());
+    for (const auto& row : engine.exec(sql).rows) {
+      out.emplace(row[0].asInt(), row[1].asText());
+    }
   }
   return out;
 }
 
-struct Side {
-  std::uint64_t results = 0;
-  /// (metric, canonical context) -> value; several samples of one metric in
-  /// one context keep the first (lowest result id), matching
-  /// analyze::compareExecutions.
-  std::map<std::pair<std::string, std::string>, double> values;
+/// The per-side statements, prepared once per diagnose() and executed for
+/// both executions. Each starts from an indexed equality on execution_id
+/// (exec_by_name, pr_by_exec, focus_by_exec) and the focus joins probe
+/// prhf_by_focus / fhr_by_focus once per focus of the execution, so cost
+/// scales with this execution's foci and results, not with the store.
+struct Statements {
+  explicit Statements(minidb::sql::Engine& engine)
+      : execution(engine.prepare("SELECT id FROM execution WHERE name = ?")),
+        results(engine.prepare(
+            "SELECT id, metric_id, value FROM performance_result "
+            "WHERE execution_id = ?")),
+        result_foci(engine.prepare(
+            "SELECT prhf.result_id, prhf.focus_id "
+            "FROM focus f, performance_result_has_focus prhf "
+            "WHERE f.execution_id = ? AND prhf.focus_id = f.id")),
+        focus_resources(engine.prepare(
+            "SELECT fhr.focus_id, fhr.resource_id "
+            "FROM focus f, focus_has_resource fhr "
+            "WHERE f.execution_id = ? AND fhr.focus_id = f.id")) {}
+
+  minidb::sql::PreparedStatement execution;
+  minidb::sql::PreparedStatement results;
+  minidb::sql::PreparedStatement result_foci;
+  minidb::sql::PreparedStatement focus_resources;
 };
 
-Side collectSide(minidb::sql::Engine& engine, const std::string& exec) {
-  const std::int64_t exec_id = executionId(engine, exec);
-
-  // Every query below starts from an indexed equality on execution_id and
-  // joins through indexed equality conjuncts (pr_by_exec, prhf_by_result,
-  // focus_by_exec, fhr_by_focus), so cost scales with this execution's data,
-  // not the store.
-  auto results_stmt = engine.prepare(
-      "SELECT pr.id, m.name, pr.value FROM performance_result pr, metric m "
-      "WHERE pr.execution_id = ? AND m.id = pr.metric_id ORDER BY pr.id");
-  ResultSet results = results_stmt.execute({Value(exec_id)});
-
-  auto foci_stmt = engine.prepare(
-      "SELECT prhf.result_id, prhf.focus_id "
-      "FROM performance_result pr, performance_result_has_focus prhf "
-      "WHERE pr.execution_id = ? AND prhf.result_id = pr.id");
-  std::unordered_map<std::int64_t, std::vector<std::int64_t>> result_foci;
-  for (const auto& row : foci_stmt.execute({Value(exec_id)}).rows) {
-    result_foci[row[0].asInt()].push_back(row[1].asInt());
-  }
-
-  auto fhr_stmt = engine.prepare(
-      "SELECT fhr.focus_id, fhr.resource_id "
-      "FROM focus f, focus_has_resource fhr "
-      "WHERE f.execution_id = ? AND fhr.focus_id = f.id");
+/// One execution's rows as read, before names are resolved.
+struct RawSide {
+  std::string exec;
+  struct Result {
+    std::int64_t id;
+    std::int64_t metric_id;
+    double value;
+  };
+  std::vector<Result> results;  // ascending id
+  /// (result id, focus id) links to this execution's foci, ascending.
+  std::vector<std::pair<std::int64_t, std::int64_t>> result_foci;
+  /// focus id -> its resources.
   std::unordered_map<std::int64_t, std::vector<std::int64_t>> focus_resources;
-  std::set<std::int64_t> resource_ids;
-  for (const auto& row : fhr_stmt.execute({Value(exec_id)}).rows) {
-    const std::int64_t rid = row[1].asInt();
-    focus_resources[row[0].asInt()].push_back(rid);
-    resource_ids.insert(rid);
-  }
+};
 
-  const auto names = fetchResourceNames(
-      engine, {resource_ids.begin(), resource_ids.end()});
+RawSide readSide(Statements& stmts, const std::string& exec) {
+  ResultSet exec_rs = stmts.execution.execute({Value(exec)});
+  if (exec_rs.rows.empty()) throw util::ModelError("no such execution: " + exec);
+  const Value exec_id = exec_rs.rows[0][0];
 
-  // Canonicalize each distinct resource once, not once per result.
-  std::unordered_map<std::int64_t, std::string> canonical;
-  canonical.reserve(names.size());
-  for (const auto& [id, full] : names) {
-    canonical.emplace(id, canonicalResourceName(exec, full));
-  }
-
-  Side side;
-  side.results = results.rows.size();
+  RawSide side;
+  side.exec = exec;
+  ResultSet results = stmts.results.execute({exec_id});
+  side.results.reserve(results.rows.size());
   for (const auto& row : results.rows) {
-    const std::int64_t result_id = row[0].asInt();
-    std::set<std::string> context_names;
-    const auto foci_it = result_foci.find(result_id);
-    if (foci_it != result_foci.end()) {
-      for (std::int64_t focus_id : foci_it->second) {
-        const auto res_it = focus_resources.find(focus_id);
-        if (res_it == focus_resources.end()) continue;
-        for (std::int64_t rid : res_it->second) {
-          const auto name_it = canonical.find(rid);
-          if (name_it != canonical.end()) context_names.insert(name_it->second);
-        }
-      }
-    }
-    std::string context =
-        util::join({context_names.begin(), context_names.end()}, "|");
-    side.values.try_emplace({row[1].asText(), std::move(context)},
-                            row[2].asReal());
+    // A NULL metric_id names no metric: dropped, as a join would drop it.
+    if (row[1].isNull()) continue;
+    side.results.push_back({row[0].asInt(), row[1].asInt(), row[2].asReal()});
+  }
+  // Ascending ids make "first sample wins" mean "lowest result id wins"
+  // below, whatever order the index scan produced.
+  std::sort(side.results.begin(), side.results.end(),
+            [](const RawSide::Result& x, const RawSide::Result& y) { return x.id < y.id; });
+
+  // Driven from this execution's foci: a result's links to another
+  // execution's foci contribute no resources, so they are never read.
+  ResultSet links = stmts.result_foci.execute({exec_id});
+  side.result_foci.reserve(links.rows.size());
+  for (const auto& row : links.rows) {
+    side.result_foci.emplace_back(row[0].asInt(), row[1].asInt());
+  }
+  std::sort(side.result_foci.begin(), side.result_foci.end());
+  for (const auto& row : stmts.focus_resources.execute({exec_id}).rows) {
+    side.focus_resources[row[0].asInt()].push_back(row[1].asInt());
   }
   return side;
+}
+
+/// Context strings interned to dense ids, shared by both sides so that
+/// alignment compares integers.
+using ContextIds = std::unordered_map<std::string, std::uint32_t>;
+
+/// One resolved sample: dense metric index (metric name order), context id,
+/// value. Listed in ascending result id.
+struct Sample {
+  std::uint32_t metric;
+  std::uint32_t context;
+  double value;
+};
+
+/// Resolves one side's metrics and contexts. `metric_index` maps metric ids
+/// to dense indices; results whose metric id has none are dropped, as an
+/// inner join with `metric` would drop them.
+std::vector<Sample> resolveSide(
+    const RawSide& raw,
+    const std::unordered_map<std::int64_t, std::uint32_t>& metric_index,
+    const std::unordered_map<std::int64_t, std::string>& resource_names,
+    ContextIds& contexts) {
+  // A context is the sorted, distinct canonical names of every resource
+  // across a result's foci. It is built once per distinct focus set: most
+  // results have exactly one focus, shared with many other results.
+  auto build = [&](const std::int64_t* foci, std::size_t n) {
+    std::set<std::string> names;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto res_it = raw.focus_resources.find(foci[i]);
+      if (res_it == raw.focus_resources.end()) continue;
+      for (std::int64_t rid : res_it->second) {
+        const auto name_it = resource_names.find(rid);
+        if (name_it == resource_names.end()) continue;
+        names.insert(canonicalResourceName(raw.exec, name_it->second));
+      }
+    }
+    return contexts
+        .try_emplace(util::join({names.begin(), names.end()}, "|"),
+                     static_cast<std::uint32_t>(contexts.size()))
+        .first->second;
+  };
+  std::map<std::vector<std::int64_t>, std::uint32_t> focus_sets;
+  const std::uint32_t no_focus = build(nullptr, 0);
+
+  std::vector<Sample> out;
+  out.reserve(raw.results.size());
+  std::vector<std::int64_t> foci;
+  auto link = raw.result_foci.begin();
+  for (const RawSide::Result& result : raw.results) {
+    foci.clear();
+    while (link != raw.result_foci.end() && link->first < result.id) ++link;
+    for (; link != raw.result_foci.end() && link->first == result.id; ++link) {
+      foci.push_back(link->second);
+    }
+    const auto metric_it = metric_index.find(result.metric_id);
+    if (metric_it == metric_index.end()) continue;
+    std::uint32_t context = no_focus;
+    if (!foci.empty()) {
+      const auto [it, fresh] = focus_sets.try_emplace(foci);
+      if (fresh) it->second = build(foci.data(), foci.size());
+      context = it->second;
+    }
+    out.push_back({metric_it->second, context, result.value});
+  }
+  return out;
+}
+
+/// Alignment key (metric name order, then context string order) -> value,
+/// ascending and distinct: of several samples with one key the first, i.e.
+/// the lowest result id, wins, matching analyze::compareExecutions.
+std::vector<std::pair<std::uint64_t, double>> keyedValues(
+    const std::vector<Sample>& samples, const std::vector<std::uint32_t>& context_rank) {
+  std::vector<std::pair<std::uint64_t, double>> out;
+  out.reserve(samples.size());
+  for (const Sample& s : samples) {
+    out.emplace_back((static_cast<std::uint64_t>(s.metric) << 32) | context_rank[s.context],
+                     s.value);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const auto& x, const auto& y) { return x.first < y.first; });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const auto& x, const auto& y) { return x.first == y.first; }),
+            out.end());
+  return out;
+}
+
+void validate(const Request& request) {
+  auto check = [](double value, const char* what) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw util::ModelError(std::string("diff: ") + what +
+                             " must be finite and >= 0, got " +
+                             util::formatReal(value));
+    }
+  };
+  check(request.ratio_threshold, "ratio threshold");
+  check(request.abs_threshold, "absolute threshold");
 }
 
 }  // namespace
@@ -232,55 +325,111 @@ std::string Report::toText() const {
 }
 
 Report diagnose(minidb::sql::Engine& engine, const Request& request) {
+  validate(request);
   const auto start = std::chrono::steady_clock::now();
   Report report;
   report.request = request;
 
-  const Side a = collectSide(engine, request.exec_a);
-  const Side b = collectSide(engine, request.exec_b);
-  report.stats.results_a = a.results;
-  report.stats.results_b = b.results;
+  Statements stmts(engine);
+  const RawSide raw_a = readSide(stmts, request.exec_a);
+  const RawSide raw_b = readSide(stmts, request.exec_b);
 
-  // Alignment pass: walk A's keys against B's, tallying contribution
-  // denominators per metric as we go.
+  // Names are resolved once for both sides: one IN-list over the distinct
+  // metric ids and one over the distinct resource ids.
+  std::vector<std::int64_t> metric_ids;
+  std::vector<std::int64_t> resource_ids;
+  for (const RawSide* raw : {&raw_a, &raw_b}) {
+    for (const RawSide::Result& r : raw->results) metric_ids.push_back(r.metric_id);
+    for (const auto& [focus, resources] : raw->focus_resources) {
+      resource_ids.insert(resource_ids.end(), resources.begin(), resources.end());
+    }
+  }
+  const auto metric_names = fetchNames(
+      engine, "SELECT id, name FROM metric WHERE id IN (", std::move(metric_ids));
+  const auto resource_names =
+      fetchNames(engine, "SELECT id, full_name FROM resource_item WHERE id IN (",
+                 std::move(resource_ids));
+
+  // Dense metric indices, assigned in name order so that sorting keys by
+  // index sorts them by metric name.
+  std::vector<std::pair<const std::string*, std::int64_t>> by_name;
+  by_name.reserve(metric_names.size());
+  for (const auto& [id, name] : metric_names) by_name.emplace_back(&name, id);
+  std::sort(by_name.begin(), by_name.end(),
+            [](const auto& x, const auto& y) { return *x.first < *y.first; });
+  std::unordered_map<std::int64_t, std::uint32_t> metric_index;
+  for (std::uint32_t i = 0; i < by_name.size(); ++i) {
+    metric_index.emplace(by_name[i].second, i);
+  }
+
+  ContextIds contexts;
+  const std::vector<Sample> samples_a =
+      resolveSide(raw_a, metric_index, resource_names, contexts);
+  const std::vector<Sample> samples_b =
+      resolveSide(raw_b, metric_index, resource_names, contexts);
+  report.stats.results_a = samples_a.size();
+  report.stats.results_b = samples_b.size();
+
+  // Contexts ranked in string order, likewise.
+  std::vector<std::pair<const std::string*, std::uint32_t>> by_context;
+  by_context.reserve(contexts.size());
+  for (const auto& [text, id] : contexts) by_context.emplace_back(&text, id);
+  std::sort(by_context.begin(), by_context.end(),
+            [](const auto& x, const auto& y) { return *x.first < *y.first; });
+  std::vector<std::uint32_t> context_rank(by_context.size());
+  for (std::uint32_t r = 0; r < by_context.size(); ++r) {
+    context_rank[by_context[r].second] = r;
+  }
+  const auto a = keyedValues(samples_a, context_rank);
+  const auto b = keyedValues(samples_b, context_rank);
+
+  // Alignment: a merge of the two sorted key lists. The aligned pairs come
+  // out in (metric name, context) order, the order each metric's
+  // contribution denominator sums its |delta|s in, so the floating-point
+  // total (and every contribution_pct) is reproducible to the last bit.
   struct Aligned {
-    const std::pair<std::string, std::string>* key;
+    std::uint64_t key;
     double value_a;
     double value_b;
   };
   std::vector<Aligned> aligned;
-  std::map<std::string, double> metric_total_delta;  // sum of |delta|
-  for (const auto& [key, value_a] : a.values) {
-    const auto it = b.values.find(key);
-    if (it == b.values.end()) {
+  aligned.reserve(std::min(a.size(), b.size()));
+  std::vector<double> metric_total_delta(by_name.size(), 0.0);  // sum of |delta|
+  for (auto ia = a.begin(), ib = b.begin(); ia != a.end() || ib != b.end();) {
+    if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
       ++report.stats.only_a;
-      continue;
+      ++ia;
+    } else if (ia == a.end() || ib->first < ia->first) {
+      ++report.stats.only_b;
+      ++ib;
+    } else {
+      aligned.push_back({ia->first, ia->second, ib->second});
+      metric_total_delta[ia->first >> 32] += std::abs(ib->second - ia->second);
+      if (ia->second == 0.0) ++report.stats.zero_baseline;
+      ++ia;
+      ++ib;
     }
-    aligned.push_back({&key, value_a, it->second});
-    metric_total_delta[key.first] += std::abs(it->second - value_a);
-    if (value_a == 0.0) ++report.stats.zero_baseline;
-  }
-  for (const auto& [key, value_b] : b.values) {
-    if (!a.values.contains(key)) ++report.stats.only_b;
   }
   report.stats.aligned = aligned.size();
 
   for (const Aligned& pair : aligned) {
-    Row row;
-    row.metric = pair.key->first;
-    row.context = pair.key->second;
-    row.value_a = pair.value_a;
-    row.value_b = pair.value_b;
-    row.has_ratio = pair.value_a != 0.0;
-    if (row.has_ratio) row.ratio = pair.value_b / pair.value_a;
-    const double delta = std::abs(row.delta());
+    const bool has_ratio = pair.value_a != 0.0;
+    const double ratio = has_ratio ? pair.value_b / pair.value_a : 0.0;
+    const double delta = std::abs(pair.value_b - pair.value_a);
     // Zero-baseline guard: without a ratio, any change at all is divergent
     // (the value appeared from nothing); with one, apply the threshold.
-    const bool past_ratio = row.has_ratio
-                                ? std::abs(row.ratio - 1.0) > request.ratio_threshold
+    const bool past_ratio = has_ratio
+                                ? std::abs(ratio - 1.0) > request.ratio_threshold
                                 : delta != 0.0;
     if (!past_ratio || delta < request.abs_threshold) continue;
-    const double total = metric_total_delta[row.metric];
+    Row row;
+    row.metric = *by_name[pair.key >> 32].first;
+    row.context = *by_context[static_cast<std::uint32_t>(pair.key)].first;
+    row.value_a = pair.value_a;
+    row.value_b = pair.value_b;
+    row.has_ratio = has_ratio;
+    row.ratio = ratio;
+    const double total = metric_total_delta[pair.key >> 32];
     row.contribution_pct = total > 0.0 ? delta / total * 100.0 : 0.0;
     report.rows.push_back(std::move(row));
   }

@@ -12,10 +12,16 @@
 //
 // The engine lives below dbal and server (it operates on a
 // minidb::sql::Engine directly), so the same code path backs the local
-// dbal::Connection::diff(), the server's DIFF wire verb, and the CLIs. Its
-// alignment queries are plain indexed SQL with chunked integer IN-lists, so
-// on an invidx-enabled engine the resource/focus joins ride the PR-9
-// posting-list access path automatically.
+// dbal::Connection::diff(), the server's DIFF wire verb, and the CLIs.
+//
+// Alignment is focus-driven (DESIGN.md §5.10): each side is read
+// set-at-a-time with plain indexed SQL. Results come from pr_by_exec, and
+// the result->focus and focus->resource links are read once per focus of
+// the execution (focus_by_exec, then prhf_by_focus / fhr_by_focus), not once
+// per result. Names are resolved once for both sides through primary-key
+// IN-lists. Each context string is built once per distinct focus set and
+// interned in a dictionary shared by A and B, so pairs align on integer
+// keys.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +96,8 @@ std::string canonicalResourceName(const std::string& execution,
                                   std::string full_name);
 
 /// Runs the full diagnosis against the store behind `engine`. Throws
-/// util::ModelError when either execution does not exist. Callers are
+/// util::ModelError when either execution does not exist or a threshold is
+/// not finite and >= 0. Callers are
 /// responsible for gating/snapshotting the underlying database exactly as
 /// for any SELECT (the engine only reads).
 Report diagnose(minidb::sql::Engine& engine, const Request& request);

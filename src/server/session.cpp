@@ -27,6 +27,16 @@ bool isSchemaKind(Statement::Kind kind) {
          kind == Statement::Kind::Drop || kind == Statement::Kind::Vacuum;
 }
 
+/// One DIFF threshold off the wire: any number. Its range is checked by
+/// diagnose() itself, so local and remote callers get the same error.
+double diffThreshold(WireReader& r, const char* what) {
+  const minidb::Value v = r.value();
+  if (!v.isInt() && !v.isReal()) {
+    throw WireError(std::string("DIFF: ") + what + " must be a number");
+  }
+  return v.asReal();
+}
+
 }  // namespace
 
 Session::Session(std::uint64_t id, minidb::Database& db, DbGate& gate,
@@ -425,8 +435,8 @@ Frame Session::doDiff(WireReader& r) {
   req.exec_a = r.str();
   req.exec_b = r.str();
   req.top_k = r.u32();
-  req.ratio_threshold = r.value().asReal();
-  req.abs_threshold = r.value().asReal();
+  req.ratio_threshold = diffThreshold(r, "ratio threshold");
+  req.abs_threshold = diffThreshold(r, "absolute threshold");
   r.expectEnd("DIFF");
 
   // The diagnosis is a burst of SELECTs: it runs under one shared hold (and

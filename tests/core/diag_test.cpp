@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -193,6 +194,72 @@ TEST_F(DiagTest, UnknownExecutionThrowsModelError) {
   store_.addExecution("runA", "app");
   EXPECT_THROW(diff("runA", "nope"), util::ModelError);
   EXPECT_THROW(diff("nope", "runA"), util::ModelError);
+}
+
+TEST_F(DiagTest, RejectsNonFiniteAndNegativeThresholds) {
+  store_.addExecution("runA", "app");
+  store_.addExecution("runB", "app");
+  store_.addResource("/mach", "grid/machine");
+  addResult("runA", "/mach", "wall_ms", 10.0);
+  addResult("runB", "/mach", "wall_ms", 30.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -inf, -0.5}) {
+    EXPECT_THROW(diff("runA", "runB", 0, bad), util::ModelError) << bad;
+    EXPECT_THROW(diff("runA", "runB", 0, 0.10, bad), util::ModelError) << bad;
+  }
+  try {
+    diff("runA", "runB", 0, nan);
+    FAIL() << "NaN ratio threshold accepted";
+  } catch (const util::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("ratio threshold must be finite"),
+              std::string::npos)
+        << e.what();
+  }
+  // The boundary values stay legal: 0 keeps every changed pair.
+  EXPECT_EQ(diff("runA", "runB", 0, 0.0, 0.0).rows.size(), 1u);
+  EXPECT_EQ(diff("runA", "runB", 0xffffffffu).rows.size(), 1u);
+}
+
+TEST_F(DiagTest, DuplicateSamplesKeepTheLowestResultId) {
+  store_.addExecution("runA", "app");
+  store_.addExecution("runB", "app");
+  store_.addResource("/mach", "grid/machine");
+  addResult("runA", "/mach", "wall_ms", 10.0);
+  addResult("runA", "/mach", "wall_ms", 99.0);  // later sample: ignored
+  addResult("runB", "/mach", "wall_ms", 20.0);
+  addResult("runB", "/mach", "wall_ms", 10.0);
+  const Report report = diff("runA", "runB");
+  EXPECT_EQ(report.stats.results_a, 2u);
+  EXPECT_EQ(report.stats.aligned, 1u);
+  ASSERT_EQ(report.rows.size(), 1u);
+  EXPECT_EQ(report.rows[0].value_a, 10.0);
+  EXPECT_EQ(report.rows[0].value_b, 20.0);
+}
+
+TEST_F(DiagTest, ResultsWithoutFociOrMetricAlignAsBefore) {
+  store_.addExecution("runA", "app");
+  store_.addExecution("runB", "app");
+  const std::int64_t metric = store_.addMetric("wall_ms");
+  auto insertBare = [&](const char* exec, std::int64_t metric_id, double value) {
+    const std::int64_t exec_id = conn_->queryInt(
+        "SELECT id FROM execution WHERE name = ?", {minidb::Value(exec)});
+    conn_->execPrepared(
+        "INSERT INTO performance_result (execution_id, metric_id, "
+        "performance_tool_id, value) VALUES (?, ?, 1, ?)",
+        {minidb::Value(exec_id), minidb::Value(metric_id), minidb::Value(value)});
+  };
+  // No focus at all: the context is empty, on both sides alike.
+  insertBare("runA", metric, 5.0);
+  insertBare("runB", metric, 15.0);
+  // A metric id with no metric row is not a result at all.
+  insertBare("runA", 9999, 1.0);
+  const Report report = diff("runA", "runB");
+  EXPECT_EQ(report.stats.results_a, 1u);
+  EXPECT_EQ(report.stats.results_b, 1u);
+  ASSERT_EQ(report.rows.size(), 1u);
+  EXPECT_EQ(report.rows[0].context, "");
+  EXPECT_DOUBLE_EQ(report.rows[0].ratio, 3.0);
 }
 
 TEST_F(DiagTest, SelfDiffIsClean) {

@@ -4,6 +4,8 @@
 // SqlError, and leave no server-side cursor behind.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -13,6 +15,8 @@
 #include "dbal/remote.h"
 #include "minidb/database.h"
 #include "minidb/sql/executor.h"
+#include "server/net.h"
+#include "server/protocol.h"
 #include "server/server.h"
 #include "util/error.h"
 
@@ -119,6 +123,66 @@ TEST_F(DiffWireTest, UnknownExecutionMapsToSqlError) {
   bad.exec_b = "no-such-run";
   EXPECT_THROW(conn_->diff(bad), util::SqlError);
   // The session must stay usable after the error.
+  EXPECT_EQ(conn_->diff(request()).stats.aligned, 3u);
+}
+
+TEST_F(DiffWireTest, BadThresholdsMapToSqlErrorWithTheLocalMessage) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  minidb::sql::Engine engine(*db_);
+  for (const auto& bad : {request(0, nan), request(0, inf), request(0, -1.0),
+                          request(0, 0.10, nan), request(0, 0.10, inf)}) {
+    std::string local_message;
+    try {
+      (void)core::diag::diagnose(engine, bad);
+    } catch (const util::ModelError& e) {
+      local_message = e.what();
+    }
+    ASSERT_FALSE(local_message.empty());
+    try {
+      (void)conn_->diff(bad);
+      ADD_FAILURE() << "remote DIFF accepted " << local_message;
+    } catch (const util::SqlError& e) {
+      EXPECT_EQ(std::string(e.what()), local_message);
+    }
+    // The session keeps serving after each rejection.
+    EXPECT_EQ(conn_->diff(request()).stats.aligned, 3u);
+  }
+}
+
+TEST_F(DiffWireTest, NonNumericThresholdIsAProtocolError) {
+  server::Socket sock = server::connectTo(
+      "127.0.0.1:" + std::to_string(server_->boundPort()),
+      std::chrono::milliseconds(5000));
+  server::WireWriter hello;
+  hello.u32(server::kProtocolVersion);
+  sock.sendFrame(server::makeFrame(server::Op::Hello, std::move(hello)));
+  ASSERT_TRUE(sock.recvFrame().has_value());
+
+  for (const minidb::Value& bad : {minidb::Value("0.1"), minidb::Value::null()}) {
+    server::WireWriter w;
+    w.str("runA");
+    w.str("runB");
+    w.u32(0);
+    w.value(bad);
+    w.value(minidb::Value(0.0));
+    sock.sendFrame(server::makeFrame(server::Op::Diff, std::move(w)));
+    auto reply = sock.recvFrame();
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->op, server::Op::Error);
+    EXPECT_EQ(server::readError(*reply).first, server::ErrCode::Protocol);
+  }
+  // Same connection, well-formed request: still served.
+  server::WireWriter w;
+  w.str("runA");
+  w.str("runB");
+  w.u32(0);
+  w.value(minidb::Value(std::int64_t{0}));  // integers are numbers too
+  w.value(minidb::Value(0.0));
+  sock.sendFrame(server::makeFrame(server::Op::Diff, std::move(w)));
+  auto reply = sock.recvFrame();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->op, server::Op::DiffOk);
   EXPECT_EQ(conn_->diff(request()).stats.aligned, 3u);
 }
 
