@@ -17,10 +17,16 @@
 // committing writer (DESIGN.md §5.7). The reader p99 gap between the two
 // rows is the point of the WAL.
 //
+// An export_execution row runs ptdf::exportExecution of a 16-process Frost
+// IRS run over the wire (`ptexport --connect`) in a loop, counting exported
+// lines as its requests: lines/s, and p50/p99 per whole export.
+//
 // Every row also carries frames_per_req: the server's frame-counter delta
-// over the phase divided by its requests (rows, for the scan). A cached
-// point SELECT is one EXECUTE frame, so the point rows read just above 1.00
-// (each client's HELLO and PREPARE ride on top).
+// over the phase divided by its requests (rows, for the scan; lines, for
+// the export). A cached point SELECT is one EXECUTE frame, so the point
+// rows read just above 1.00 (each client's HELLO and PREPARE ride on top);
+// an export reads its execution in a fixed handful of statements, so its
+// row reads far below 1.
 //
 // PT_SERVER_JSON=<path>: also emit the cells as JSON (one object per row)
 // for scripts/bench_smoke.sh and before/after comparisons.
@@ -30,17 +36,24 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/datastore.h"
 #include "dbal/connection.h"
 #include "dbal/remote.h"
 #include "minidb/database.h"
 #include "minidb/sql/executor.h"
 #include "obs/metrics.h"
-#include "util/tempdir.h"
+#include "ptdf/export.h"
+#include "ptdf/ptdf.h"
 #include "server/server.h"
+#include "sim/irs_gen.h"
+#include "sim/machines.h"
+#include "tools/irs_parser.h"
+#include "util/tempdir.h"
 #include "util/timer.h"
 
 using namespace perftrack;
@@ -138,6 +151,47 @@ Cell runScan(const server::PtServer& srv, const std::string& url) {
   cell.requests = rows;
   cell.seconds = timer.elapsedSeconds();
   cell.throughput = static_cast<double>(rows) / cell.seconds;
+  setFramesPerReq(cell, framesServed(srv) - frames0);
+  return cell;
+}
+
+/// One client exporting a 16-process Frost IRS run over the wire, in a loop
+/// until the budget expires; loads the run into the served store first.
+Cell runExportExecution(const server::PtServer& srv, const std::string& url) {
+  auto conn = dbal::Connection::open(url);
+  core::PTDataStore store(*conn);
+  store.initialize();
+  std::string exec;
+  {
+    util::TempDir dir("pt_bench_export");
+    exec = sim::generateIrsRun({sim::frostConfig(), 16, "MPI", 1, ""}, dir.file("irs"))
+               .exec_name;
+    std::stringstream text;
+    ptdf::Writer writer(text);
+    tools::convertIrsRun(dir.file("irs"), sim::frostConfig(), writer);
+    ptdf::load(store, text);
+  }
+
+  const std::uint64_t frames0 = framesServed(srv);
+  std::vector<double> latencies;
+  std::int64_t lines = 0;
+  util::Timer timer;
+  do {
+    std::ostringstream out;
+    ptdf::Writer writer(out);
+    util::Timer rt;
+    ptdf::exportExecution(store, exec, writer);
+    latencies.push_back(1e6 * rt.elapsedSeconds());
+    lines += static_cast<std::int64_t>(writer.linesWritten());
+  } while (timer.elapsedSeconds() < std::chrono::duration<double>(kBudget).count());
+  Cell cell;
+  cell.phase = "export_execution";
+  cell.clients = 1;
+  cell.requests = lines;
+  cell.seconds = timer.elapsedSeconds();
+  cell.throughput = static_cast<double>(lines) / cell.seconds;
+  cell.p50_us = percentile(latencies, 0.50);
+  cell.p99_us = percentile(latencies, 0.99);
   setFramesPerReq(cell, framesServed(srv) - frames0);
   return cell;
 }
@@ -284,6 +338,7 @@ int main() {
     cells.push_back(runPointQueries(srv, url, clients));
   }
   cells.push_back(runScan(srv, url));
+  cells.push_back(runExportExecution(srv, url));
   {
     // Snapshot reads vs the exclusive gate, under a committing writer.
     util::TempDir dir("pt_bench_srv");

@@ -26,9 +26,12 @@
 #                     (requests/s and p50/p99 latency, plus a streamed scan
 #                     and the read_during_commit_{full,wal} pair: reader
 #                     stall behind a committing writer, exclusive gate vs
-#                     WAL snapshot reads); every row carries frames_per_req,
-#                     the server frames per request, and the smoke fails
-#                     without it
+#                     WAL snapshot reads, and export_execution: a remote
+#                     PTdf export of a Frost IRS np16 run, lines/s);
+#                     every row carries frames_per_req, the server frames
+#                     per request, and the smoke fails without it, without
+#                     the export_execution row, or when that row's
+#                     frames_per_req (frames per exported line) is >= 1
 #   BENCH_obs.json    observability overhead A/B from bench_obs (tracing
 #                     on/off ns per point-SELECT, overhead %, 2% budget)
 #   BENCH_resource_match.json
@@ -134,6 +137,18 @@ check_snapshot "$out_dir/METRICS_server.prom"
 if ! grep -q '"phase"' "$out_dir/BENCH_server.json" ||
    grep '"phase"' "$out_dir/BENCH_server.json" | grep -vq '"frames_per_req": '; then
   echo "bench_smoke: BENCH_server.json rows must all carry frames_per_req" >&2
+  exit 1
+fi
+# A remote export reads its execution in a fixed handful of statements: a
+# frame per exported line or more means it went back to per-result reads.
+export_frames="$(grep '"phase": "export_execution"' "$out_dir/BENCH_server.json" |
+                 sed -n 's/.*"frames_per_req": \([^}]*\)}.*/\1/p')"
+if [ -z "$export_frames" ]; then
+  echo "bench_smoke: BENCH_server.json has no export_execution row" >&2
+  exit 1
+fi
+if ! awk -v f="$export_frames" 'BEGIN { exit !(f < 1) }'; then
+  echo "bench_smoke: export_execution takes $export_frames frames per line (must be < 1)" >&2
   exit 1
 fi
 

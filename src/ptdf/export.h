@@ -32,7 +32,11 @@ ExportStats exportStore(core::PTDataStore& store, Writer& writer);
 /// Exports one execution: its results, the resources those results
 /// reference (with their attributes), and the execution record itself —
 /// the "only a small subset of the transferred data is actually needed"
-/// exchange granularity from the paper's introduction.
+/// exchange granularity from the paper's introduction. The execution is
+/// read in a fixed set of statements, whatever its size (DESIGN.md §5.12).
+/// An execution without results still exports its Application and
+/// Execution records. Throws util::ModelError("no such execution: <name>")
+/// for an unknown name, before anything is written.
 ExportStats exportExecution(core::PTDataStore& store, const std::string& exec_name,
                             Writer& writer);
 
