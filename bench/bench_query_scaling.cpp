@@ -14,7 +14,8 @@
 // The _Threads benchmarks at the bottom sweep the morsel-parallel degree
 // {1,2,4,8} over a large synthetic aggregate (DESIGN.md §5.6) and record a
 // `threads` counter per run, so BENCH_query_scaling.json carries the full
-// per-degree timing matrix rather than a single-run median.
+// per-degree timing matrix rather than a single-run median. The join rows
+// last time the two join shapes the PerfTrack workloads run most.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -227,6 +228,54 @@ void BM_TopK_Threads(benchmark::State& state) {
 BENCHMARK(BM_TopK_Threads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// --- joins -------------------------------------------------------------------
+// The two join shapes the PerfTrack workloads lean on, over the 8-execution
+// IRS store: PTDataStore::getResult's 5-way primary-key join as a point
+// lookup (cycling through every result id), and the golden EXPLAIN ANALYZE
+// query's resource_attribute ⋈ resource_item GROUP BY at degrees 1 and 4
+// (exec_min_pages 1, so the small attribute table still goes parallel).
+
+void BM_GetResultJoin(benchmark::State& state) {
+  auto& s = storeOfSize(8);
+  const std::int64_t results =
+      s.conn->queryInt("SELECT COUNT(*) FROM performance_result");
+  std::int64_t id = 0;
+  for (auto _ : state) {
+    id = id % results + 1;
+    benchmark::DoNotOptimize(s.conn->execPrepared(
+        "SELECT pr.id, e.name, a.name, m.name, t.name, pr.value, pr.units, "
+        "pr.start_time, pr.end_time "
+        "FROM performance_result pr "
+        "JOIN execution e ON pr.execution_id = e.id "
+        "JOIN application a ON e.application_id = a.id "
+        "JOIN metric m ON pr.metric_id = m.id "
+        "JOIN performance_tool t ON pr.performance_tool_id = t.id "
+        "WHERE pr.id = ?",
+        {minidb::Value(id)}));
+  }
+}
+BENCHMARK(BM_GetResultJoin)->Unit(benchmark::kMicrosecond);
+
+void BM_AttributeItemGroupBy_Threads(benchmark::State& state) {
+  auto& s = storeOfSize(8);
+  const int threads = static_cast<int>(state.range(0));
+  s.conn->setOption("exec_threads", threads);
+  s.conn->setOption("exec_min_pages", 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s.conn->exec(
+        "SELECT ra.name, COUNT(*) FROM resource_attribute ra "
+        "JOIN resource_item r ON ra.resource_id = r.id "
+        "GROUP BY ra.name ORDER BY ra.name LIMIT 5"));
+  }
+  state.counters["threads"] = threads;
+  const minidb::sql::ExecOptions& defaults = minidb::sql::processOptions();
+  s.conn->setOption("exec_threads", defaults.degree);
+  s.conn->setOption("exec_min_pages", static_cast<std::int64_t>(defaults.min_pages));
+}
+BENCHMARK(BM_AttributeItemGroupBy_Threads)
+    ->Arg(1)->Arg(4)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

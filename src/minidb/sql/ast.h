@@ -56,6 +56,8 @@ struct Expr {
   // Binding annotations filled in by the executor's resolve pass.
   int bound_table = -1;  // Column: index into the FROM list
   int bound_col = -1;    // Column: ordinal within that table
+  int bound_flat = -1;   // Column: ordinal within a joined row (every FROM
+                         // entry's columns concatenated in FROM order)
   int agg_slot = -1;     // Aggregate: accumulator slot within a group
   // InSelect: the subquery's materialized first-column values (encoded for
   // order-insensitive membership), filled by the executor before evaluation.

@@ -135,18 +135,60 @@ struct CursorImpl {
   obs::StageTimer exec_timer;
   std::size_t batch_rows = 0;  // engine's batch_rows at open time
 
+  // Row stepping: next() hands out the rows of batches pulled through
+  // pull(). The first pull asks for 32 rows and each refill doubles up to
+  // batch_rows, so a consumer that steps a few rows (LIMIT without ORDER BY,
+  // an early close) does not scan a whole batch.
+  RowBatch step;
+  std::size_t step_pos = 0;
+  std::size_t step_cap = 0;
+
   ~CursorImpl() { closeImpl(); }
 
   bool nextRow(Row& row) {
     if (!open) return false;
-    if (is_explain) {
-      if (explain_pos >= explain_rows.size()) {
-        closeImpl();
-        return false;
+    if (step_pos >= step.sel.size()) {
+      step.capacity = step_cap;
+      step_cap = std::min(step_cap * 2, batch_rows);
+      if (!pull(step)) return false;
+      step_pos = 0;
+    }
+    step.takeRow(step.sel[step_pos++], row);
+    countRow(row);
+    return true;
+  }
+
+  bool fetchBatch(RowBatch& batch) {
+    if (!open) return false;
+    if (step_pos < step.sel.size()) {
+      // Rows a next() caller pulled but has not consumed go first.
+      const std::size_t cap = batch.capacity > 0 ? batch.capacity : batch_rows;
+      batch.reset(step.cols.size(), 0);
+      Row row;
+      while (batch.nrows < cap && step_pos < step.sel.size()) {
+        step.takeRow(step.sel[step_pos++], row);
+        batch.appendMoveValues(row);
       }
-      row = std::move(explain_rows[explain_pos++]);
-      countRow(row);
-      return true;
+    } else if (!pull(batch)) {
+      return false;
+    }
+    countBatch(batch);
+    return true;
+  }
+
+  /// The one pipeline pull: fills `batch` (capacity 0 = batch_rows) and
+  /// closes the cursor at end of stream.
+  bool pull(RowBatch& batch) {
+    if (batch.capacity == 0) batch.capacity = batch_rows;
+    if (is_explain) {
+      // EXPLAIN cursors step precomputed text lines.
+      batch.reset(1, 0);
+      while (batch.nrows < batch.capacity && explain_pos < explain_rows.size()) {
+        batch.appendMoveValues(explain_rows[explain_pos++]);
+      }
+      if (batch.nrows > 0) return true;
+      closeImpl();
+      return false;
     }
     // The pin makes schema changes impossible while open; this guards the
     // invariant itself rather than any expected path. Snapshot cursors skip
@@ -158,45 +200,9 @@ struct CursorImpl {
     }
     std::optional<Pager::SnapshotScope> scope;
     if (snap.valid()) scope.emplace(snap);
-    if (!pipeline.root->next(row, scratch_keys_)) {
-      closeImpl();
-      return false;
-    }
-    countRow(row);
-    return true;
-  }
-
-  bool fetchBatch(RowBatch& batch) {
-    if (!open) return false;
-    if (is_explain) {
-      // EXPLAIN cursors step precomputed text lines; batch them trivially.
-      batch.reset(1, 0);
-      const std::size_t cap =
-          batch.capacity > 0 ? batch.capacity : explain_rows.size();
-      while (batch.nrows < cap && explain_pos < explain_rows.size()) {
-        Row& row = explain_rows[explain_pos++];
-        countRow(row);
-        batch.appendMoveValues(row);
-      }
-      if (batch.nrows == 0) {
-        closeImpl();
-        return false;
-      }
-      return true;
-    }
-    if (!snap.valid() && db->schemaEpoch() != epoch) {
-      closeImpl();
-      throw SqlError("cursor: schema changed while cursor was open");
-    }
-    std::optional<Pager::SnapshotScope> scope;
-    if (snap.valid()) scope.emplace(snap);
-    if (batch.capacity == 0) batch.capacity = batch_rows;
-    if (!pipeline.root->nextBatch(batch)) {
-      closeImpl();
-      return false;
-    }
-    countBatch(batch);
-    return true;
+    if (pipeline.root->nextBatch(batch)) return true;
+    closeImpl();
+    return false;
   }
 
   void countRow(const Row& row) {
@@ -227,6 +233,8 @@ struct CursorImpl {
       pipeline.root->close();
     }
     open = false;
+    step = RowBatch{};
+    step_pos = 0;
     pin.release();
     snap.release();
     if (busy_token) {
@@ -234,9 +242,6 @@ struct CursorImpl {
       busy_token.reset();
     }
   }
-
- private:
-  std::vector<Value> scratch_keys_;  // ORDER BY keys plumbing (unused at root)
 };
 
 Cursor::Cursor(std::shared_ptr<CursorImpl> impl) : impl_(std::move(impl)) {}
@@ -373,32 +378,16 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
   }
   const ExecOptions& exec_opts = engine_->opts_;
   impl->batch_rows = exec_opts.batch_rows;
+  impl->step_cap = std::min<std::size_t>(32, exec_opts.batch_rows);
   if (stmt_->explain) {
     impl->is_explain = true;
     impl->columns = {"plan"};
-    std::vector<std::string> lines;
-    if (stmt_->explain_analyze) {
-      // EXPLAIN ANALYZE: run the statement to exhaustion with per-operator
-      // accounting armed, then step the annotated tree lines. The run holds
-      // a scoped pin; the resulting cursor is text-only and pin-free, so it
-      // is safe to stream over the wire like plain EXPLAIN.
-      materializePlanSubqueries(db, *plan_);
-      Pipeline p = buildPipeline(db, *plan_, exec_opts);
-      p.root->setAnalyze(true);
-      {
-        const Database::CursorPin run_pin = db.pinCursor();
-        p.root->open();
-        RowBatch batch;
-        batch.capacity = exec_opts.batch_rows;
-        while (p.root->nextBatch(batch)) {
-        }
-        p.root->close();
-      }
-      p.root->describe(lines, 0);
-    } else {
-      lines = explainPipeline(db, *plan_, exec_opts);
-    }
-    for (std::string& line : lines) {
+    // EXPLAIN ANALYZE runs the statement to exhaustion under a scoped pin;
+    // either way the cursor steps text lines and is pin-free, so it is safe
+    // to stream over the wire.
+    for (std::string& line : stmt_->explain_analyze
+                                 ? explainAnalyzePipeline(db, *plan_, exec_opts)
+                                 : explainPipeline(db, *plan_, exec_opts)) {
       impl->explain_rows.push_back({Value(std::move(line))});
     }
   } else {
@@ -426,15 +415,7 @@ ResultSet PreparedStatement::execute() {
     Cursor cur = openCursor();
     ResultSet rs;
     rs.columns = cur.columns();
-    RowBatch batch;
-    Row row;
-    while (cur.fetchBatch(batch)) {
-      for (const std::uint32_t i : batch.sel) {
-        batch.takeRow(i, row);
-        rs.rows.push_back(std::move(row));
-        row = {};
-      }
-    }
+    drainBatches([&](RowBatch& batch) { return cur.fetchBatch(batch); }, rs.rows);
     return rs;
   }
   sqlCounters().queries.inc();

@@ -51,8 +51,8 @@ class Engine;
 struct SelectPlan;  // cached plan, defined in sql/pipeline.h
 struct CursorImpl;  // cursor state, defined in executor.cpp
 
-/// A stepping SELECT cursor: pulls one row at a time through the operator
-/// pipeline, so the first row arrives without materializing the result.
+/// A stepping SELECT cursor: pulls batches through the operator pipeline,
+/// so the first rows arrive without materializing the result.
 ///
 /// Invariants:
 ///  - While open (and not EXPLAIN), the cursor holds a Database::CursorPin:
@@ -72,8 +72,10 @@ class Cursor {
 
   const std::vector<std::string>& columns() const;
 
-  /// Produces the next row. Returns false (and auto-closes) at end of
-  /// stream.
+  /// Produces the next row, stepping through batches the cursor pulls
+  /// itself (32 rows first, doubling up to exec_batch_rows, so stepping a
+  /// few rows scans about that many). Returns false (and auto-closes) at
+  /// end of stream.
   bool next(Row& row);
 
   /// Pulls the next batch of rows. `batch.capacity` bounds the refill (0 =

@@ -211,7 +211,10 @@ void Binder::resolve(Expr& e) const {
   // changed column ordinals, so stale annotations must not survive.
   int found_table = -1;
   int found_col = -1;
-  for (std::size_t i = 0; i < from_.size(); ++i) {
+  int found_flat = -1;
+  // `base` is the joined-row ordinal of FROM entry i's first column.
+  for (std::size_t i = 0, base = 0; i < from_.size();
+       base += from_[i++].def->columns.size()) {
     if (!e.table.empty() && !util::iequals(e.table, from_[i].alias)) continue;
     const int col = from_[i].def->columnIndex(e.column);
     if (col < 0) continue;
@@ -220,6 +223,7 @@ void Binder::resolve(Expr& e) const {
     }
     found_table = static_cast<int>(i);
     found_col = col;
+    found_flat = static_cast<int>(base) + col;
   }
   if (found_table < 0) {
     const std::string qual = e.table.empty() ? e.column : e.table + "." + e.column;
@@ -227,6 +231,7 @@ void Binder::resolve(Expr& e) const {
   }
   e.bound_table = found_table;
   e.bound_col = found_col;
+  e.bound_flat = found_flat;
 }
 
 namespace {
@@ -253,6 +258,16 @@ void collectAggregates(Expr* e, std::vector<Expr*>& out) {
   collectAggregates(e->lhs.get(), out);
   collectAggregates(e->rhs.get(), out);
   for (const ExprPtr& item : e->list) collectAggregates(item.get(), out);
+}
+
+/// Calls `fn` on every column ref in `e`. Subqueries are not entered: they
+/// bind against their own FROM list.
+void forEachColumn(const Expr* e, const std::function<void(const Expr&)>& fn) {
+  if (e == nullptr) return;
+  if (e->kind == Expr::Kind::Column) fn(*e);
+  forEachColumn(e->lhs.get(), fn);
+  forEachColumn(e->rhs.get(), fn);
+  for (const ExprPtr& item : e->list) forEachColumn(item.get(), fn);
 }
 
 bool containsAggregate(const Expr* e) {
@@ -372,14 +387,13 @@ struct AggState {
 };
 
 struct Group {
-  Row key_values;
-  std::vector<Row> first_rows;  // deep copy of the group's first input tuple
+  Row first_row;  // copy of the group's first joined input row
   std::vector<AggState> aggs;
 };
 
 /// Evaluates an expression in grouped mode: Aggregate nodes read their
 /// accumulated slot; everything else evaluates against the group's first
-/// input tuple (SQLite-style bare-column semantics).
+/// input row (SQLite-style bare-column semantics).
 Value evaluateGrouped(const Expr& e, const Group& g) {
   if (e.kind == Expr::Kind::Aggregate) {
     return g.aggs.at(e.agg_slot).result(e.agg);
@@ -389,7 +403,7 @@ Value evaluateGrouped(const Expr& e, const Group& g) {
     case Expr::Kind::Param:
       return e.value;
     case Expr::Kind::Column:
-      return g.first_rows.at(e.bound_table).at(e.bound_col);
+      return g.first_row.at(static_cast<std::size_t>(e.bound_flat));
     case Expr::Kind::Binary: {
       switch (e.op) {
         case BinaryOp::And:
@@ -451,6 +465,56 @@ Value evaluateGrouped(const Expr& e, const Group& g) {
       break;  // handled above
   }
   throw SqlError("internal: bad grouped expression");
+}
+
+/// Output rows with their ORDER BY keys, as the blocking operators buffer
+/// them.
+using KeyedRows = std::vector<std::pair<Row, std::vector<Value>>>;
+
+/// Appends group `g`'s output row and ORDER BY keys unless HAVING rejects it.
+void emitGroup(const SelectPlan& plan, const Group& g, KeyedRows& out) {
+  const SelectStmt& sel = *plan.sel;
+  if (sel.having && !truthy(evaluateGrouped(*sel.having, g))) return;
+  Row row;
+  row.reserve(plan.outputs.size());
+  for (const SelectPlan::OutputCol& col : plan.outputs) {
+    row.push_back(evaluateGrouped(*col.expr, g));
+  }
+  std::vector<Value> keys;
+  keys.reserve(sel.order_by.size());
+  for (const OrderItem& item : sel.order_by) {
+    keys.push_back(evaluateGrouped(*item.expr, g));
+  }
+  out.emplace_back(std::move(row), std::move(keys));
+}
+
+/// The one row a fully-aggregated SELECT yields over zero input rows. Bare
+/// column refs are undefined over an empty input; they report NULL.
+void emitEmptyInput(const SelectPlan& plan, KeyedRows& out) {
+  Group empty;
+  empty.aggs.resize(plan.aggregates.size());
+  Row row;
+  for (const SelectPlan::OutputCol& col : plan.outputs) {
+    if (containsAggregate(col.expr) || col.expr->kind == Expr::Kind::Literal) {
+      row.push_back(evaluateGrouped(*col.expr, empty));
+    } else {
+      row.push_back(Value::null());
+    }
+  }
+  out.emplace_back(std::move(row), std::vector<Value>{});
+}
+
+/// Moves up to `cap` buffered rows, from `pos` on, into `b`; false once
+/// the buffer is drained.
+bool emitBuffered(KeyedRows& rows, std::size_t& pos, std::size_t cap, std::size_t nkeys,
+                  RowBatch& b) {
+  if (pos >= rows.size()) return false;
+  b.reset(rows[pos].first.size(), nkeys);
+  while (b.nrows < cap && pos < rows.size()) {
+    b.appendMoveValues(rows[pos].first, rows[pos].second);
+    ++pos;
+  }
+  return true;
 }
 
 }  // namespace
@@ -582,6 +646,29 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
     collectAggregates(item.expr.get(), plan.aggregates);
   }
   plan.grouped = !sel.group_by.empty() || !plan.aggregates.empty();
+
+  // --- columns read above the join ---
+  std::vector<int> reads;  // per joined-row ordinal: column refs reading it
+  const auto count = [&reads](const Expr& col) {
+    const auto flat = static_cast<std::size_t>(col.bound_flat);
+    if (reads.size() <= flat) reads.resize(flat + 1, 0);
+    ++reads[flat];
+  };
+  std::vector<const Expr*> projected;  // outputs, then ORDER BY keys
+  for (const SelectPlan::OutputCol& out : plan.outputs) projected.push_back(out.expr);
+  for (OrderItem& item : sel.order_by) projected.push_back(item.expr.get());
+  for (const Expr* e : projected) forEachColumn(e, count);
+  for (const Expr* e : projected) {
+    plan.sole_column.push_back(e->kind == Expr::Kind::Column &&
+                               reads[static_cast<std::size_t>(e->bound_flat)] == 1);
+  }
+  for (const ExprPtr& e : sel.group_by) forEachColumn(e.get(), count);
+  forEachColumn(sel.having.get(), count);
+  for (std::size_t t = 0, flat = 0; t < plan.from.size(); ++t) {
+    for (std::size_t c = 0; c < plan.from[t].def->columns.size(); ++c, ++flat) {
+      if (flat < reads.size() && reads[flat] > 0) plan.read_cols.push_back({t, c, flat});
+    }
+  }
 
   // --- choose an access path per table ---
   plan.paths.assign(plan.from.size(), {});
@@ -760,12 +847,13 @@ ExecCounters& execCounters() {
 // Vectorized expression evaluation
 //
 // evalRows() is the batch twin of evaluate(): it computes `e` for every row
-// index in `sel` against a single-table batch (Column refs resolve through
-// bound_col; every expression reaching here binds table 0 only). `out` is
-// sized to the batch and only the `sel` lanes are written. And/Or evaluate
-// the right side only on the lanes the row path would have reached, so the
-// two evaluators agree even on expressions that throw (e.g. an InSelect
-// whose subquery was never materialized).
+// index in `sel` against a batch of joined rows — every FROM entry's columns
+// concatenated in FROM order, so Column refs resolve through bound_flat (a
+// table-0 batch below the join is the prefix, and its conjuncts bind table 0
+// only). `out` is sized to the batch and only the `sel` lanes are written.
+// And/Or evaluate the right side only on the lanes the scalar evaluator
+// would have reached, so the two agree even on expressions that throw (e.g.
+// an InSelect whose subquery was never materialized).
 // ---------------------------------------------------------------------------
 
 void evalRows(const Expr& e, const RowBatch& b,
@@ -778,7 +866,7 @@ void evalRows(const Expr& e, const RowBatch& b,
       return;
     case Expr::Kind::Column: {
       const std::vector<Value>& col =
-          b.cols.at(static_cast<std::size_t>(e.bound_col));
+          b.cols.at(static_cast<std::size_t>(e.bound_flat));
       for (const std::uint32_t i : sel) out[i] = col[i];
       return;
     }
@@ -1260,6 +1348,26 @@ class IndexRangeIter : public SlotIter {
   std::optional<Database::IndexCursor> cur_;
 };
 
+/// The scan/probe iterator for `path` over `entry`; probe bounds evaluate
+/// against `tuple` (the earlier FROM entries' bound rows).
+std::unique_ptr<SlotIter> makeAccessIter(Database& db, const SelectPlan::AccessPath& path,
+                                         const SelectPlan::FromEntry& entry,
+                                         const Tuple& tuple) {
+  switch (path.kind) {
+    case SelectPlan::AccessPath::Kind::Scan:
+      return std::make_unique<SeqScanIter>(db, path, entry);
+    case SelectPlan::AccessPath::Kind::IndexEqual:
+      return std::make_unique<IndexEqualIter>(db, path, entry, tuple);
+    case SelectPlan::AccessPath::Kind::IndexInList:
+      return std::make_unique<IndexInListIter>(db, path, entry, tuple);
+    case SelectPlan::AccessPath::Kind::PostingInList:
+      return std::make_unique<PostingInListIter>(db, path, entry, tuple);
+    case SelectPlan::AccessPath::Kind::IndexRange:
+      return std::make_unique<IndexRangeIter>(db, path, entry, tuple);
+  }
+  throw SqlError("internal: bad access path kind");
+}
+
 /// Applies a conjunct list to the child's rows. Binds the candidate row into
 /// its tuple slot while evaluating (the slot's final binding is re-set by the
 /// nested loop once the row is accepted).
@@ -1295,11 +1403,10 @@ class FilterIter : public SlotIter {
     }
     return false;
   }
-  /// Vectorized only at slot 0 (every conjunct due there binds table 0, so
-  /// evalRows needs no tuple context); inner join levels are always driven
-  /// row-at-a-time and keep the tuple-binding path above.
+  /// Only level 0 is pulled batch-at-a-time (every conjunct due there binds
+  /// table 0, so evalRows needs no tuple context); inner join levels are
+  /// stepped per outer row through the tuple-binding path above.
   bool doNextBatch(RowBatch& b) override {
-    if (slot_ != 0) return SlotIter::doNextBatch(b);
     for (;;) {
       if (!child_->nextBatch(b)) return false;
       for (const Expr* e : conjuncts_) {
@@ -1349,51 +1456,37 @@ class FilterIter : public SlotIter {
 // NestedLoop — iterative join over the per-table SlotIter chains
 // ---------------------------------------------------------------------------
 
-/// Pull-based nested-loop join. LEFT JOIN follows standard semantics: a row
-/// "matches" when it passes the table's ON conjuncts; if nothing matches,
-/// one null-extended tuple is produced and only non-ON (WHERE) conjuncts
-/// apply to it.
+/// Pull-based nested-loop join that emits batches of joined rows: a lane is
+/// one joined tuple whose columns are every FROM entry's columns in FROM
+/// order (see evalRows); only the plan's read_cols are filled, the rest stay
+/// empty. Table 0 arrives in batches from its scan/filter chain; per outer
+/// lane the inner levels are stepped row-at-a-time through their access
+/// paths, depth-first, so lanes come out in tuple-at-a-time nested-loop
+/// order. A batch never spans two outer batches, which keeps every lane's
+/// origin (outer row, ordinal under it) known for GatherOp's ranks. With a
+/// single table the outer batch itself is the output.
+///
+/// LEFT JOIN follows standard semantics: a row "matches" when it passes the
+/// table's ON conjuncts; if nothing matches, one null-extended tuple is
+/// produced and only non-ON (WHERE) conjuncts apply to it.
 class NestedLoop {
  public:
   /// `level0` (optional) replaces the base scan/probe iterator of the first
   /// FROM entry; GatherOp feeds per-worker loops from a shared MorselSource
   /// this way while the filter chain and join levels stay identical.
-  /// `batch_outer` turns off the batched outer side: morsel-fed worker loops
-  /// need it off because they read the level-0 iterator's per-row rank after
-  /// every next(), which pre-batching would run ahead of.
   NestedLoop(Database& db, SelectPlan& plan, std::size_t batch_rows,
-             std::unique_ptr<SlotIter> level0 = nullptr, bool batch_outer = true)
-      : plan_(&plan),
+             std::unique_ptr<SlotIter> level0 = nullptr)
+      : read_(&plan.read_cols),
         batch_rows_(batch_rows > 0 ? batch_rows : 1),
-        batch_outer_(batch_outer),
+        record_origins_(level0 != nullptr),
         tuple_(plan.from.size(), nullptr) {
     const SelectStmt& sel = *plan.sel;
     for (std::size_t t = 0; t < plan.from.size(); ++t) {
       Level lv;
       const SelectPlan::AccessPath& path = plan.paths[t];
-      std::unique_ptr<SlotIter> it;
-      if (t == 0 && level0) {
-        it = std::move(level0);
-      } else {
-        switch (path.kind) {
-          case SelectPlan::AccessPath::Kind::Scan:
-            it = std::make_unique<SeqScanIter>(db, path, plan.from[t]);
-            break;
-          case SelectPlan::AccessPath::Kind::IndexEqual:
-            it = std::make_unique<IndexEqualIter>(db, path, plan.from[t], tuple_);
-            break;
-          case SelectPlan::AccessPath::Kind::IndexInList:
-            it = std::make_unique<IndexInListIter>(db, path, plan.from[t], tuple_);
-            break;
-          case SelectPlan::AccessPath::Kind::PostingInList:
-            it = std::make_unique<PostingInListIter>(db, path, plan.from[t],
-                                                     tuple_);
-            break;
-          case SelectPlan::AccessPath::Kind::IndexRange:
-            it = std::make_unique<IndexRangeIter>(db, path, plan.from[t], tuple_);
-            break;
-        }
-      }
+      std::unique_ptr<SlotIter> it = (t == 0 && level0)
+                                         ? std::move(level0)
+                                         : makeAccessIter(db, path, plan.from[t], tuple_);
       SlotIter* matched = it.get();
       // Route the conjuncts due at this level: ON conjuncts decide LEFT JOIN
       // matching; the rest filter accepted rows. A conjunct consumed by an
@@ -1425,6 +1518,7 @@ class NestedLoop {
       lv.matched_stage = matched;
       lv.null_row = Row(plan.from[t].def->columns.size());  // all NULL
       lv.left_join = sel.from[t].left_join;
+      width_ += lv.null_row.size();
       levels_.push_back(std::move(lv));
     }
   }
@@ -1435,17 +1529,8 @@ class NestedLoop {
     const detail::OpTick tick(stats_);
     openImpl();
   }
-  bool next() {
-    if (!stats_.timed) return nextImpl();
-    const detail::OpTick tick(stats_);
-    const bool ok = nextImpl();
-    if (ok) ++stats_.rows;
-    return ok;
-  }
-  /// Columnar passthrough for single-table loops (buildPipeline only drives
-  /// it when levels_.size() == 1): hands the level-0 chain's batch up
-  /// untouched. Rows a row-stepping caller pre-pulled but did not consume
-  /// are emitted first, so next() and nextBatch() can be mixed freely.
+  /// Fills `b` with up to `b.capacity` joined lanes (0 = batch_rows);
+  /// returns false only at end of stream.
   bool nextBatch(RowBatch& b) {
     if (!stats_.timed) return nextBatchImpl(b);
     const detail::OpTick tick(stats_);
@@ -1465,84 +1550,13 @@ class NestedLoop {
     for (Level& lv : levels_) lv.top->setAnalyze(on);
   }
 
-  void openImpl() {
-    started_ = false;
-    done_ = false;
-    std::fill(tuple_.begin(), tuple_.end(), nullptr);
+  /// Where lane `i` of the last batch came from: its row index in the
+  /// level-0 batch, and its ordinal among the lanes joined to that row.
+  /// Recorded by loops with a level-0 override (GatherOp's workers).
+  std::pair<std::uint32_t, std::uint32_t> origin(std::uint32_t i) const {
+    if (levels_.size() == 1) return {i, 0};
+    return {lane_outer_[i], lane_sub_[i]};
   }
-
-  bool nextImpl() {
-    if (done_ || levels_.empty()) return false;
-    const int last = static_cast<int>(levels_.size()) - 1;
-    int t;
-    if (!started_) {
-      started_ = true;
-      openLevel(0);
-      t = 0;
-    } else {
-      t = last;  // resume below the tuple we just emitted
-    }
-    while (t >= 0) {
-      Level& lv = levels_[static_cast<std::size_t>(t)];
-      if (lv.null_pending) {
-        lv.null_pending = false;
-        tuple_[static_cast<std::size_t>(t)] = &lv.null_row;
-        if (!nullRowPasses(lv)) {
-          tuple_[static_cast<std::size_t>(t)] = nullptr;
-          t = ascend(t);
-          continue;
-        }
-      } else if ((t == 0 && batch_outer_) ? nextOuter() : lv.top->next(lv.row)) {
-        tuple_[static_cast<std::size_t>(t)] = &lv.row;
-      } else {
-        if (lv.left_join && !lv.null_done && lv.matched_stage->produced() == 0) {
-          lv.null_pending = true;
-          lv.null_done = true;
-          continue;
-        }
-        t = ascend(t);
-        continue;
-      }
-      if (t == last) return true;
-      openLevel(static_cast<std::size_t>(t) + 1);
-      ++t;
-    }
-    done_ = true;
-    return false;
-  }
-
-  bool nextBatchImpl(RowBatch& b) {
-    if (done_ || levels_.empty()) return false;
-    if (!started_) {
-      started_ = true;
-      openLevel(0);
-    }
-    if (outer_pos_ < outer_batch_.sel.size()) {
-      const std::size_t cap = b.capacity;
-      b = std::move(outer_batch_);
-      b.sel.erase(b.sel.begin(),
-                  b.sel.begin() + static_cast<std::ptrdiff_t>(outer_pos_));
-      b.capacity = cap;
-      outer_batch_ = RowBatch{};
-      outer_pos_ = 0;
-      return true;
-    }
-    if (b.capacity == 0) b.capacity = batch_rows_;
-    if (!levels_[0].top->nextBatch(b)) {
-      ascend(0);
-      done_ = true;
-      return false;
-    }
-    return true;
-  }
-
-  void closeImpl() {
-    for (Level& lv : levels_) lv.top->close();
-    std::fill(tuple_.begin(), tuple_.end(), nullptr);
-    done_ = true;
-  }
-
-  const Tuple& tuple() const { return tuple_; }
 
   /// OpStats pointers in construction order (loop, then each level's chain).
   /// Two loops built from the same plan produce parallel lists, so worker
@@ -1591,33 +1605,122 @@ class NestedLoop {
     bool null_done = false;
   };
 
+  void openImpl() {
+    started_ = false;
+    done_ = false;
+    inner_open_ = false;
+    outer_.clearRows();
+    outer_pos_ = 0;
+    std::fill(tuple_.begin(), tuple_.end(), nullptr);
+  }
+
+  bool nextBatchImpl(RowBatch& b) {
+    if (done_ || levels_.empty()) return false;
+    if (!started_) {
+      started_ = true;
+      levels_[0].top->open();
+    }
+    const std::size_t cap = b.capacity > 0 ? b.capacity : batch_rows_;
+    if (levels_.size() == 1) {
+      b.capacity = cap;
+      if (levels_[0].top->nextBatch(b)) return true;
+      finish();
+      return false;
+    }
+    b.reset(width_, 0);
+    lane_outer_.clear();
+    lane_sub_.clear();
+    while (b.nrows < cap) {
+      if (!inner_open_) {
+        if (outer_pos_ >= outer_.sel.size()) {
+          if (b.nrows > 0) break;  // lanes never span two outer batches
+          outer_.capacity = cap;
+          if (!levels_[0].top->nextBatch(outer_)) {
+            finish();
+            break;
+          }
+          outer_pos_ = 0;
+        }
+        // Lanes copy table 0's columns from outer_row_, so the batch's
+        // values can move.
+        outer_.takeRow(outer_.sel[outer_pos_], outer_row_);
+        tuple_[0] = &outer_row_;
+        sub_ = 0;
+      }
+      if (!nextInner()) {  // this outer row has no further combinations
+        ++outer_pos_;
+        continue;
+      }
+      for (const SelectPlan::ReadCol& rc : *read_) {
+        b.cols[rc.flat].push_back((*tuple_[rc.table])[rc.col]);
+      }
+      b.sel.push_back(static_cast<std::uint32_t>(b.nrows++));
+      if (record_origins_) {
+        lane_outer_.push_back(outer_.sel[outer_pos_]);
+        lane_sub_.push_back(sub_);
+      }
+      ++sub_;
+    }
+    return b.nrows > 0;
+  }
+
+  /// Binds the next joined tuple under the current outer row into tuple_,
+  /// stepping levels 1..last depth-first from where the previous tuple left
+  /// them; false, with every inner level closed, once the row is exhausted.
+  bool nextInner() {
+    const int last = static_cast<int>(levels_.size()) - 1;
+    int t = last;
+    if (!inner_open_) {
+      inner_open_ = true;
+      openLevel(1);
+      t = 1;
+    }
+    while (t >= 1) {
+      Level& lv = levels_[static_cast<std::size_t>(t)];
+      if (lv.null_pending) {
+        lv.null_pending = false;
+        tuple_[static_cast<std::size_t>(t)] = &lv.null_row;
+        if (!nullRowPasses(lv)) {
+          t = ascend(t);
+          continue;
+        }
+      } else if (lv.top->next(lv.row)) {
+        tuple_[static_cast<std::size_t>(t)] = &lv.row;
+      } else {
+        if (lv.left_join && !lv.null_done && lv.matched_stage->produced() == 0) {
+          lv.null_pending = true;
+          lv.null_done = true;
+          continue;
+        }
+        t = ascend(t);
+        continue;
+      }
+      if (t == last) return true;
+      openLevel(static_cast<std::size_t>(t) + 1);
+      ++t;
+    }
+    inner_open_ = false;
+    return false;
+  }
+
+  void closeImpl() {
+    for (Level& lv : levels_) lv.top->close();
+    std::fill(tuple_.begin(), tuple_.end(), nullptr);
+    done_ = true;
+  }
+
+  /// End of stream: table 0 is exhausted.
+  void finish() {
+    levels_[0].top->close();
+    done_ = true;
+  }
+
   void openLevel(std::size_t t) {
     Level& lv = levels_[t];
     lv.null_pending = false;
     lv.null_done = false;
     tuple_[t] = nullptr;
-    if (t == 0) {
-      outer_batch_.clearRows();
-      outer_pos_ = 0;
-      // Ramp the outer batch up from a small refill so LIMIT-without-ORDER-BY
-      // row-stepping stops the scan after a handful of rows, not a full batch.
-      outer_cap_ = std::min<std::size_t>(32, batch_rows_);
-    }
     lv.top->open();
-  }
-
-  /// Row-path advancement of level 0: rows arrive in columnar batches from
-  /// the scan/filter chain and materialize one at a time into the tuple slot.
-  bool nextOuter() {
-    Level& lv = levels_[0];
-    while (outer_pos_ >= outer_batch_.sel.size()) {
-      outer_batch_.capacity = outer_cap_;
-      outer_cap_ = std::min(outer_cap_ * 2, batch_rows_);
-      if (!lv.top->nextBatch(outer_batch_)) return false;
-      outer_pos_ = 0;
-    }
-    outer_batch_.materializeRow(outer_batch_.sel[outer_pos_++], lv.row);
-    return true;
   }
 
   bool nullRowPasses(const Level& lv) const {
@@ -1633,21 +1736,26 @@ class NestedLoop {
     return t - 1;
   }
 
-  SelectPlan* plan_;
+  const std::vector<SelectPlan::ReadCol>* read_;  // the columns lanes carry
   std::size_t batch_rows_;
-  bool batch_outer_;
+  bool record_origins_;
+  std::size_t width_ = 0;  // columns of a joined row
   Tuple tuple_;
   std::vector<Level> levels_;
-  RowBatch outer_batch_;        // level-0 rows pre-pulled for the row path
-  std::size_t outer_pos_ = 0;   // next unconsumed index into outer_batch_.sel
-  std::size_t outer_cap_ = 32;  // current refill size (ramps to batch_rows_)
+  RowBatch outer_;          // the level-0 batch being joined
+  std::size_t outer_pos_ = 0;  // index into outer_.sel of the current outer row
+  Row outer_row_;           // that row, bound as tuple_[0] for inner probes
+  std::uint32_t sub_ = 0;   // lanes emitted so far under the current outer row
+  bool inner_open_ = false;  // inner levels are mid-enumeration for it
+  std::vector<std::uint32_t> lane_outer_;  // per lane of the last joined batch
+  std::vector<std::uint32_t> lane_sub_;
   bool started_ = false;
   bool done_ = false;
   OpStats stats_;
 };
 
 // ---------------------------------------------------------------------------
-// Row-level operators
+// Operators above the join
 // ---------------------------------------------------------------------------
 
 /// SELECT without FROM: one row of constant expressions.
@@ -1656,16 +1764,16 @@ class ConstRowOp : public RowOp {
   explicit ConstRowOp(SelectPlan& plan) : plan_(&plan) {}
 
   void doOpen() override { emitted_ = false; }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
+  bool doNextBatch(RowBatch& b) override {
     if (emitted_) return false;
     emitted_ = true;
-    static const Tuple kEmpty;
-    row.clear();
+    Row row;
     row.reserve(plan_->outputs.size());
     for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      row.push_back(evaluate(*out.expr, kEmpty));
+      row.push_back(evalConst(*out.expr));
     }
-    keys.clear();
+    b.reset(row.size(), 0);
+    b.appendMoveValues(row);
     return true;
   }
   void doClose() override {}
@@ -1678,56 +1786,28 @@ class ConstRowOp : public RowOp {
   bool emitted_ = false;
 };
 
-/// Evaluates the output expressions (and ORDER BY keys) per joined tuple.
-/// With `batch_input` set (single-table plans), projection runs column-wise
-/// over the source's batches instead of per materialized tuple.
+/// Evaluates the output expressions (and ORDER BY keys) column-wise over the
+/// join's batches. A plan's sole_column outputs and keys move out of the
+/// input batch (refilled on the next pull) instead of being copied.
 class ProjectOp : public RowOp {
  public:
-  ProjectOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan, bool batch_input,
-            std::size_t batch_rows)
-      : src_(std::move(src)),
-        plan_(&plan),
-        batch_input_(batch_input),
-        batch_rows_(batch_rows) {}
+  ProjectOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan, std::size_t batch_rows)
+      : src_(std::move(src)), plan_(&plan), batch_rows_(batch_rows) {}
 
   void doOpen() override { src_->open(); }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!src_->next()) return false;
-    const Tuple& tuple = src_->tuple();
-    row.clear();
-    row.reserve(plan_->outputs.size());
-    for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      row.push_back(evaluate(*out.expr, tuple));
-    }
-    const SelectStmt& sel = *plan_->sel;
-    keys.clear();
-    keys.reserve(sel.order_by.size());
-    for (const OrderItem& item : sel.order_by) {
-      keys.push_back(evaluate(*item.expr, tuple));
-    }
-    return true;
-  }
   bool doNextBatch(RowBatch& b) override {
-    if (!batch_input_) return RowOp::doNextBatch(b);
     in_.capacity = b.capacity ? b.capacity : batch_rows_;
     if (!src_->nextBatch(in_)) return false;
     const SelectStmt& sel = *plan_->sel;
-    b.reset(plan_->outputs.size(), sel.order_by.size());
-    const std::size_t n = in_.sel.size();
-    for (std::size_t c = 0; c < plan_->outputs.size(); ++c) {
-      evalRows(*plan_->outputs[c].expr, in_, in_.sel, eval_scratch_);
-      b.cols[c].reserve(n);
-      for (const std::uint32_t i : in_.sel) {
-        b.cols[c].push_back(std::move(eval_scratch_[i]));
-      }
+    const std::size_t nout = plan_->outputs.size();
+    b.reset(nout, sel.order_by.size());
+    for (std::size_t c = 0; c < nout; ++c) {
+      fill(*plan_->outputs[c].expr, plan_->sole_column[c], b.cols[c]);
     }
     for (std::size_t k = 0; k < sel.order_by.size(); ++k) {
-      evalRows(*sel.order_by[k].expr, in_, in_.sel, eval_scratch_);
-      b.keys[k].reserve(n);
-      for (const std::uint32_t i : in_.sel) {
-        b.keys[k].push_back(std::move(eval_scratch_[i]));
-      }
+      fill(*sel.order_by[k].expr, plan_->sole_column[nout + k], b.keys[k]);
     }
+    const std::size_t n = in_.sel.size();
     b.nrows = n;
     b.sel.resize(n);
     for (std::size_t i = 0; i < n; ++i) b.sel[i] = static_cast<std::uint32_t>(i);
@@ -1749,27 +1829,84 @@ class ProjectOp : public RowOp {
   }
 
  private:
+  /// Appends `e`'s value for every live input lane to `out` (empty).
+  void fill(const Expr& e, bool sole_column, std::vector<Value>& out) {
+    if (sole_column) {
+      std::vector<Value>& col = in_.cols[static_cast<std::size_t>(e.bound_flat)];
+      if (in_.sel.size() == in_.nrows) {
+        out.swap(col);  // every lane live: hand the column over whole
+        return;
+      }
+      out.reserve(in_.sel.size());
+      for (const std::uint32_t i : in_.sel) out.push_back(std::move(col[i]));
+      return;
+    }
+    out.reserve(in_.sel.size());
+    evalRows(e, in_, in_.sel, eval_scratch_);
+    for (const std::uint32_t i : in_.sel) out.push_back(std::move(eval_scratch_[i]));
+  }
+
   std::unique_ptr<NestedLoop> src_;
   SelectPlan* plan_;
-  bool batch_input_;
   std::size_t batch_rows_;
   RowBatch in_;
   std::vector<Value> eval_scratch_;
 };
 
-/// Blocking aggregation: drains the join on the first next(), groups by the
-/// GROUP BY keys, then emits one row per HAVING-surviving group. With
-/// `batch_input` set (single-table plans), the build phase evaluates group
-/// keys and aggregate arguments column-wise per batch and only materializes
-/// a row when a group first appears.
+/// The group keys and aggregate arguments of a plan over the live lanes of
+/// a batch: a bare column is read in place, anything else is evaluated.
+class GroupInputs {
+ public:
+  explicit GroupInputs(const SelectPlan& plan)
+      : plan_(&plan),
+        keys_(plan.sel->group_by.size()),
+        args_(plan.aggregates.size()),
+        scratch_(keys_.size() + args_.size()) {}
+
+  void evaluate(const RowBatch& b) {
+    for (std::size_t g = 0; g < keys_.size(); ++g) {
+      keys_[g] = &lanes(*plan_->sel->group_by[g], b, scratch_[g]);
+    }
+    for (std::size_t a = 0; a < args_.size(); ++a) {
+      const Expr* arg = plan_->aggregates[a]->lhs.get();
+      args_[a] = arg ? &lanes(*arg, b, scratch_[keys_.size() + a]) : nullptr;
+    }
+  }
+  /// The encoded group key of lane `i`.
+  EncodedKey key(std::uint32_t i) const {
+    EncodedKey key;
+    for (const std::vector<Value>* col : keys_) encodeValue((*col)[i], key);
+    return key;
+  }
+  /// Aggregate `a`'s argument at lane `i`; nullptr for COUNT(*).
+  const Value* arg(std::size_t a, std::uint32_t i) const {
+    return args_[a] ? &(*args_[a])[i] : nullptr;
+  }
+
+ private:
+  static const std::vector<Value>& lanes(const Expr& e, const RowBatch& b,
+                                         std::vector<Value>& scratch) {
+    if (e.kind == Expr::Kind::Column) {
+      return b.cols[static_cast<std::size_t>(e.bound_flat)];
+    }
+    evalRows(e, b, b.sel, scratch);
+    return scratch;
+  }
+
+  const SelectPlan* plan_;
+  std::vector<const std::vector<Value>*> keys_;  // per GROUP BY key
+  std::vector<const std::vector<Value>*> args_;  // per aggregate
+  std::vector<std::vector<Value>> scratch_;
+};
+
+/// Blocking aggregation: drains the join on the first pull, groups by the
+/// GROUP BY keys, then emits one row per HAVING-surviving group. The build
+/// phase evaluates group keys and aggregate arguments column-wise per batch
+/// and only materializes a row when a group first appears.
 class AggregateOp : public RowOp {
  public:
-  AggregateOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan,
-              bool batch_input, std::size_t batch_rows)
-      : src_(std::move(src)),
-        plan_(&plan),
-        batch_input_(batch_input),
-        batch_rows_(batch_rows) {}
+  AggregateOp(std::unique_ptr<NestedLoop> src, SelectPlan& plan, std::size_t batch_rows)
+      : src_(std::move(src)), plan_(&plan), batch_rows_(batch_rows) {}
 
   void doOpen() override {
     src_->open();
@@ -1777,24 +1914,10 @@ class AggregateOp : public RowOp {
     out_.clear();
     pos_ = 0;
   }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!built_) build();
-    if (pos_ >= out_.size()) return false;
-    row = std::move(out_[pos_].first);
-    keys = std::move(out_[pos_].second);
-    ++pos_;
-    return true;
-  }
   bool doNextBatch(RowBatch& b) override {
     if (!built_) build();
-    if (pos_ >= out_.size()) return false;
-    const std::size_t cap = b.capacity ? b.capacity : batch_rows_;
-    b.reset(out_[pos_].first.size(), plan_->sel->order_by.size());
-    while (b.nrows < cap && pos_ < out_.size()) {
-      b.appendMoveValues(out_[pos_].first, out_[pos_].second);
-      ++pos_;
-    }
-    return true;
+    return emitBuffered(out_, pos_, b.capacity ? b.capacity : batch_rows_,
+                        plan_->sel->order_by.size(), b);
   }
   void doClose() override {
     src_->close();
@@ -1821,107 +1944,31 @@ class AggregateOp : public RowOp {
   void build() {
     const SelectStmt& sel = *plan_->sel;
     std::map<EncodedKey, Group> groups;
-    if (batch_input_) {
-      buildBatched(groups);
-    } else {
-      while (src_->next()) {
-        const Tuple& tuple = src_->tuple();
-        Row key_values;
-        EncodedKey key;
-        for (const ExprPtr& e : sel.group_by) {
-          Value v = evaluate(*e, tuple);
-          encodeValue(v, key);
-          key_values.push_back(std::move(v));
-        }
-        auto [it, inserted] = groups.try_emplace(std::move(key));
-        Group& g = it->second;
-        if (inserted) {
-          g.key_values = std::move(key_values);
-          g.aggs.resize(plan_->aggregates.size());
-          g.first_rows.reserve(tuple.size());
-          for (const Row* row : tuple) g.first_rows.push_back(*row);
-        }
-        for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-          const Expr* agg = plan_->aggregates[a];
-          if (agg->lhs) {
-            g.aggs[a].add(evaluate(*agg->lhs, tuple), agg->agg_distinct);
-          } else {
-            g.aggs[a].count++;  // COUNT(*)
-          }
-        }
-      }
-    }
+    accumulate(groups);
     src_->close();
-    for (const auto& [key, group] : groups) {
-      if (sel.having && !truthy(evaluateGrouped(*sel.having, group))) continue;
-      Row row;
-      row.reserve(plan_->outputs.size());
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        row.push_back(evaluateGrouped(*out.expr, group));
-      }
-      std::vector<Value> keys;
-      keys.reserve(sel.order_by.size());
-      for (const OrderItem& item : sel.order_by) {
-        keys.push_back(evaluateGrouped(*item.expr, group));
-      }
-      out_.emplace_back(std::move(row), std::move(keys));
-    }
-    // A fully-aggregated SELECT over zero input rows still yields one row.
-    if (groups.empty() && sel.group_by.empty()) {
-      Group empty;
-      empty.aggs.resize(plan_->aggregates.size());
-      // Bare column refs are undefined over an empty input; report NULLs.
-      Row row;
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        if (containsAggregate(out.expr) || out.expr->kind == Expr::Kind::Literal) {
-          row.push_back(evaluateGrouped(*out.expr, empty));
-        } else {
-          row.push_back(Value::null());
-        }
-      }
-      out_.emplace_back(std::move(row), std::vector<Value>{});
-    }
+    for (const auto& [key, group] : groups) emitGroup(*plan_, group, out_);
+    if (groups.empty() && sel.group_by.empty()) emitEmptyInput(*plan_, out_);
     built_ = true;
   }
 
-  /// Batch-probe variant of the accumulation loop: evaluates the group keys
-  /// and aggregate arguments column-at-a-time over each input batch, then
-  /// probes the hash table per live lane. Same group map, same insertion
-  /// order, same semantics as the row loop.
-  void buildBatched(std::map<EncodedKey, Group>& groups) {
-    const SelectStmt& sel = *plan_->sel;
+  /// Evaluates the group keys and aggregate arguments column-at-a-time over
+  /// each input batch, then probes the group map per live lane.
+  void accumulate(std::map<EncodedKey, Group>& groups) {
     RowBatch in;
     in.capacity = batch_rows_;
-    std::vector<std::vector<Value>> key_cols(sel.group_by.size());
-    std::vector<std::vector<Value>> arg_cols(plan_->aggregates.size());
+    GroupInputs inputs(*plan_);
     while (src_->nextBatch(in)) {
-      for (std::size_t g = 0; g < sel.group_by.size(); ++g) {
-        evalRows(*sel.group_by[g], in, in.sel, key_cols[g]);
-      }
-      for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-        if (plan_->aggregates[a]->lhs) {
-          evalRows(*plan_->aggregates[a]->lhs, in, in.sel, arg_cols[a]);
-        }
-      }
+      inputs.evaluate(in);
       for (std::uint32_t i : in.sel) {
-        Row key_values;
-        EncodedKey key;
-        for (std::size_t g = 0; g < key_cols.size(); ++g) {
-          encodeValue(key_cols[g][i], key);
-          key_values.push_back(std::move(key_cols[g][i]));
-        }
-        auto [it, inserted] = groups.try_emplace(std::move(key));
+        auto [it, inserted] = groups.try_emplace(inputs.key(i));
         Group& grp = it->second;
         if (inserted) {
-          grp.key_values = std::move(key_values);
           grp.aggs.resize(plan_->aggregates.size());
-          grp.first_rows.resize(1);
-          in.materializeRow(i, grp.first_rows[0]);
+          in.materializeRow(i, grp.first_row);
         }
         for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-          const Expr* agg = plan_->aggregates[a];
-          if (agg->lhs) {
-            grp.aggs[a].add(std::move(arg_cols[a][i]), agg->agg_distinct);
+          if (const Value* v = inputs.arg(a, i)) {
+            grp.aggs[a].add(*v, plan_->aggregates[a]->agg_distinct);
           } else {
             grp.aggs[a].count++;  // COUNT(*)
           }
@@ -1932,10 +1979,9 @@ class AggregateOp : public RowOp {
 
   std::unique_ptr<NestedLoop> src_;
   SelectPlan* plan_;
-  bool batch_input_;
   std::size_t batch_rows_;
   bool built_ = false;
-  std::vector<std::pair<Row, std::vector<Value>>> out_;
+  KeyedRows out_;
   std::size_t pos_ = 0;
 };
 
@@ -1947,14 +1993,6 @@ class DistinctOp : public RowOp {
   void doOpen() override {
     child_->open();
     seen_.clear();
-  }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    while (child_->next(row, keys)) {
-      EncodedKey key;
-      for (const Value& v : row) encodeValue(v, key);
-      if (seen_.insert(std::move(key)).second) return true;
-    }
-    return false;
   }
   bool doNextBatch(RowBatch& b) override {
     // Probe the seen-set per live lane and compact the selection vector;
@@ -2009,14 +2047,6 @@ class SortOp : public RowOp {
     sorted_ = false;
     rows_.clear();
     pos_ = 0;
-  }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!sorted_) drain();
-    if (pos_ >= rows_.size()) return false;
-    row = std::move(rows_[pos_].row);
-    keys.clear();
-    ++pos_;
-    return true;
   }
   bool doNextBatch(RowBatch& b) override {
     if (!sorted_) drain();
@@ -2121,18 +2151,6 @@ class LimitOp : public RowOp {
     skipped_ = 0;
     emitted_ = 0;
   }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (limit_ && emitted_ >= *limit_) return false;
-    while (child_->next(row, keys)) {
-      if (skipped_ < offset_) {
-        ++skipped_;
-        continue;
-      }
-      ++emitted_;
-      return true;
-    }
-    return false;
-  }
   bool doNextBatch(RowBatch& b) override {
     if (limit_ && emitted_ >= *limit_) return false;
     const std::size_t caller_cap = b.capacity;
@@ -2193,32 +2211,30 @@ class LimitOp : public RowOp {
 //
 // A MorselSource partitions table 0 into ~kMorselTargetRows-row morsels that
 // workers claim with one atomic (page partitioning) or one short lock
-// (cursor chunking). Each morsel carries its decoded rows — the RowBatch the
-// per-worker scan/filter/project loops run over — plus a dense morsel id
-// from which every row gets a global rank: concatenating morsels in id
-// order reproduces the serial scan order exactly, so parallel runs stay
-// bit-identical to serial ones (group representatives, DISTINCT survivors,
-// and ORDER BY tie-breaks all resolve by rank).
+// (cursor chunking). Each morsel is decoded into the RowBatch that becomes
+// the outer batch of the worker's join, and carries a dense morsel id: a
+// joined lane's global rank is (morsel id, row index in the morsel, ordinal
+// under that row), so concatenating morsels in id order reproduces the
+// serial scan order exactly and parallel runs stay bit-identical to serial
+// ones (group representatives, DISTINCT survivors, and ORDER BY tie-breaks
+// all resolve by rank).
 // ---------------------------------------------------------------------------
 
-/// Bits of the per-row rank reserved for the row's offset inside its morsel
-/// (page morsels are capped well below 2^18 rows).
+/// Bits of the rank reserved for the row's offset inside its morsel (page
+/// morsels are capped well below 2^18 rows).
 constexpr unsigned kMorselRowBits = 18;
 
 /// Thread-safe supplier of decoded row batches. abort() drains the source
 /// early when one worker fails, so the others reach the barrier quickly.
 class MorselSource {
  public:
-  struct Morsel {
-    std::uint64_t id = 0;    // dense, increasing; ranks derive from it
-    std::vector<Row> rows;   // the batch the worker's tight loops run over
-  };
-
   virtual ~MorselSource() = default;
 
-  bool next(Morsel& m) {
+  /// Decodes the next morsel into `out` (every row live) and its id into
+  /// `id`; false once the source is drained.
+  bool next(RowBatch& out, std::uint64_t& id) {
     if (aborted_.load(std::memory_order_relaxed)) return false;
-    if (!produce(m)) return false;
+    if (!produce(out, id)) return false;
     execCounters().morsels_dispatched.inc();
     return true;
   }
@@ -2226,7 +2242,7 @@ class MorselSource {
   void abort() { aborted_.store(true, std::memory_order_relaxed); }
 
  protected:
-  virtual bool produce(Morsel& m) = 0;
+  virtual bool produce(RowBatch& out, std::uint64_t& id) = 0;
 
  private:
   std::atomic<bool> aborted_{false};
@@ -2236,7 +2252,8 @@ class MorselSource {
 /// of whole pages per morsel (atomic claim, no lock), decode on the worker.
 class PageMorselSource : public MorselSource {
  public:
-  PageMorselSource(Database& db, const TableDef& table) : pager_(&db.pager()) {
+  PageMorselSource(Database& db, const TableDef& table)
+      : pager_(&db.pager()), ncols_(table.columns.size()) {
     pages_ = HeapFile::collectPages(*pager_, table.first_page);
     // Whole pages per morsel, sized from the first page's fill so a morsel
     // lands near kMorselTargetRows rows. Capped so ranks fit kMorselRowBits.
@@ -2248,9 +2265,9 @@ class PageMorselSource : public MorselSource {
                                    return true;
                                  });
     }
-    if (rows_on_first == 0) rows_on_first = 1;
+    rows_per_page_ = std::max<std::size_t>(rows_on_first, 1);
     pages_per_morsel_ =
-        std::clamp<std::size_t>(kMorselTargetRows / rows_on_first, 1, 64);
+        std::clamp<std::size_t>(kMorselTargetRows / rows_per_page_, 1, 64);
   }
 
   std::size_t morselCount() const {
@@ -2258,17 +2275,22 @@ class PageMorselSource : public MorselSource {
   }
 
  protected:
-  bool produce(Morsel& m) override {
+  bool produce(RowBatch& out, std::uint64_t& id) override {
     const std::size_t idx = next_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t begin = idx * pages_per_morsel_;
     if (begin >= pages_.size()) return false;
     const std::size_t end = std::min(begin + pages_per_morsel_, pages_.size());
-    m.id = idx;
-    m.rows.clear();
+    id = idx;
+    out.reset(ncols_, 0);
+    const std::size_t expect = rows_per_page_ * (end - begin);
+    for (std::vector<Value>& col : out.cols) col.reserve(expect);
+    out.sel.reserve(expect);
+    Row row;
     for (std::size_t p = begin; p < end; ++p) {
       HeapFile::visitPageRecords(*pager_, pages_[p],
                                  [&](const std::uint8_t* data, std::size_t size) {
-                                   m.rows.push_back(deserializeRow(data, size));
+                                   row = deserializeRow(data, size);
+                                   out.appendMoveValues(row);
                                    return true;
                                  });
     }
@@ -2277,7 +2299,9 @@ class PageMorselSource : public MorselSource {
 
  private:
   Pager* pager_;
+  std::size_t ncols_;
   std::vector<PageId> pages_;
+  std::size_t rows_per_page_ = 1;  // the first page's, to size the batch
   std::size_t pages_per_morsel_ = 1;
   std::atomic<std::size_t> next_{0};
 };
@@ -2296,22 +2320,16 @@ class CursorMorselSource : public MorselSource {
   void open() { iter_->open(); }
 
  protected:
-  bool produce(Morsel& m) override {
+  bool produce(RowBatch& out, std::uint64_t& id) override {
     const std::lock_guard<std::mutex> lock(mu_);
     if (done_) return false;
-    m.id = next_id_++;
-    m.rows.clear();
-    m.rows.reserve(batch_rows_);
-    Row row;
-    while (m.rows.size() < batch_rows_ && iter_->next(row)) {
-      m.rows.push_back(std::move(row));
-      row = {};
-    }
-    if (m.rows.size() < batch_rows_) {
+    id = next_id_++;
+    out.capacity = batch_rows_;
+    if (!iter_->nextBatch(out) || out.nrows < batch_rows_) {
       done_ = true;
       iter_->close();
     }
-    return !m.rows.empty();
+    return out.nrows > 0;
   }
 
  private:
@@ -2322,38 +2340,32 @@ class CursorMorselSource : public MorselSource {
   std::uint64_t next_id_ = 0;
 };
 
-/// The Volcano adapter over a shared MorselSource: level-0 scan iterator of
-/// a per-worker NestedLoop. currentRank() exposes the global rank of the
-/// row most recently handed out, which the worker threads through to its
-/// partial states for deterministic merges.
+/// The level-0 iterator of a per-worker NestedLoop: each batch is one whole
+/// morsel claimed from the shared MorselSource, so a lane's row index in the
+/// outer batch is its offset in the morsel. morselId() names the morsel of
+/// the batch handed out last.
 class MorselFedIter : public SlotIter {
  public:
   MorselFedIter(MorselSource* src, const SelectPlan::AccessPath& path,
                 const SelectPlan::FromEntry& entry)
       : src_(src), path_(&path), entry_(&entry) {}
 
-  std::uint64_t currentRank() const { return rank_; }
+  std::uint64_t morselId() const { return morsel_id_; }
 
  protected:
-  void doOpen() override {
-    produced_ = 0;
-    m_.rows.clear();
-    pos_ = 0;
+  void doOpen() override { produced_ = 0; }
+  bool doNext(Row&) override {
+    throw SqlError("internal: morsel-fed scans are batch-only");
   }
-  bool doNext(Row& out) override {
-    while (pos_ >= m_.rows.size()) {
-      if (!src_->next(m_)) return false;
-      pos_ = 0;
+  bool doNextBatch(RowBatch& b) override {
+    while (src_->next(b, morsel_id_)) {
+      if (b.nrows == 0) continue;  // a morsel of empty pages
+      produced_ += b.nrows;
+      return true;
     }
-    rank_ = (m_.id << kMorselRowBits) | static_cast<std::uint64_t>(pos_);
-    out = std::move(m_.rows[pos_++]);
-    ++produced_;
-    return true;
+    return false;
   }
-  void doClose() override {
-    m_.rows.clear();
-    pos_ = 0;
-  }
+  void doClose() override {}
   void doDescribe(std::vector<std::string>& lines, int depth) const override {
     lines.push_back(indentOf(depth) + path_->describe(*entry_) + " [morsel]");
   }
@@ -2362,9 +2374,7 @@ class MorselFedIter : public SlotIter {
   MorselSource* src_;
   const SelectPlan::AccessPath* path_;
   const SelectPlan::FromEntry* entry_;
-  MorselSource::Morsel m_;
-  std::size_t pos_ = 0;
-  std::uint64_t rank_ = 0;
+  std::uint64_t morsel_id_ = 0;
 };
 
 /// The parallel subtree: runs per-worker partial pipelines over a shared
@@ -2374,7 +2384,7 @@ class MorselFedIter : public SlotIter {
 /// serial operators above (Distinct, Sort, Limit) run unchanged:
 ///
 ///   grouped   partial hash aggregates merge per group key; the group
-///             representative (bare-column first_rows) is the minimum-rank
+///             representative (bare-column first_row) is the minimum-rank
 ///             input, matching serial first-arrival; groups emit in encoded
 ///             key order like AggregateOp.
 ///   row mode  per-worker buffers (optionally deduped for DISTINCT and
@@ -2400,24 +2410,10 @@ class GatherOp : public RowOp {
     out_.clear();
     pos_ = 0;
   }
-  bool doNext(Row& row, std::vector<Value>& keys) override {
-    if (!built_) runParallel();
-    if (pos_ >= out_.size()) return false;
-    row = std::move(out_[pos_].first);
-    keys = std::move(out_[pos_].second);
-    ++pos_;
-    return true;
-  }
   bool doNextBatch(RowBatch& b) override {
     if (!built_) runParallel();
-    if (pos_ >= out_.size()) return false;
-    const std::size_t cap = b.capacity ? b.capacity : batch_rows_;
-    b.reset(out_[pos_].first.size(), plan_->sel->order_by.size());
-    while (b.nrows < cap && pos_ < out_.size()) {
-      b.appendMoveValues(out_[pos_].first, out_[pos_].second);
-      ++pos_;
-    }
-    return true;
+    return emitBuffered(out_, pos_, b.capacity ? b.capacity : batch_rows_,
+                        plan_->sel->order_by.size(), b);
   }
   void doClose() override {
     out_.clear();
@@ -2488,8 +2484,7 @@ class GatherOp : public RowOp {
   };
 
   struct PartialGroup {
-    Row key_values;
-    std::vector<Row> first_rows;
+    Row first_row;
     std::uint64_t first_rank = 0;
     std::uint64_t first_sub = 0;
     std::vector<PartialAggState> aggs;
@@ -2523,27 +2518,6 @@ class GatherOp : public RowOp {
     if (s.max.isNull() || v.compare(s.max) > 0) s.max = v;
   }
 
-  std::unique_ptr<SlotIter> makeLevel0Iter() {
-    const SelectPlan::AccessPath& path = plan_->paths[0];
-    switch (path.kind) {
-      case SelectPlan::AccessPath::Kind::Scan:
-        return std::make_unique<SeqScanIter>(*db_, path, plan_->from[0]);
-      case SelectPlan::AccessPath::Kind::IndexEqual:
-        return std::make_unique<IndexEqualIter>(*db_, path, plan_->from[0],
-                                                src_tuple_);
-      case SelectPlan::AccessPath::Kind::IndexInList:
-        return std::make_unique<IndexInListIter>(*db_, path, plan_->from[0],
-                                                 src_tuple_);
-      case SelectPlan::AccessPath::Kind::PostingInList:
-        return std::make_unique<PostingInListIter>(*db_, path, plan_->from[0],
-                                                   src_tuple_);
-      case SelectPlan::AccessPath::Kind::IndexRange:
-        return std::make_unique<IndexRangeIter>(*db_, path, plan_->from[0],
-                                                src_tuple_);
-    }
-    throw SqlError("internal: bad access path kind");
-  }
-
   void runParallel() {
     built_ = true;
     // Mirror the serial path's invariant: storage is pinned for the whole
@@ -2562,7 +2536,8 @@ class GatherOp : public RowOp {
       extra = std::min(extra, morsels > 0 ? morsels - 1 : 0);
       src = std::move(ps);
     } else {
-      auto cs = std::make_unique<CursorMorselSource>(makeLevel0Iter(), batch_rows_);
+      auto cs = std::make_unique<CursorMorselSource>(
+          makeAccessIter(*db_, path, plan_->from[0], src_tuple_), batch_rows_);
       cs->open();  // bound evaluation happens on the calling thread
       src = std::move(cs);
     }
@@ -2604,77 +2579,24 @@ class GatherOp : public RowOp {
   void runWorker(std::size_t slot, MorselSource& src) {
     WorkerState& ws = states_[slot];
     const auto start = std::chrono::steady_clock::now();
-    // Single-table plans run the tight batch loops; joins (and analyzed
-    // runs, which want exact per-stage accounting) run a full per-worker
-    // operator chain fed from the shared source.
-    if (batchEligible(*plan_) && !analyze_) {
-      runBatchWorker(ws, src);
-    } else {
-      runLoopWorker(ws, src);
-    }
-    ws.busy_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
-  }
-
-  void runBatchWorker(WorkerState& ws, MorselSource& src) {
-    const SelectPlan::AccessPath& path = plan_->paths[0];
-    std::vector<Expr*> conjuncts;
-    for (const SelectPlan::PlannedConjunct& pc : plan_->conjuncts) {
-      // Level-0 conjuncts; an IN-list consumed by the probe already holds.
-      if (pc.max_table <= 0 && pc.expr != path.in_list) {
-        conjuncts.push_back(pc.expr);
-      }
-    }
-    MorselSource::Morsel m;
-    Tuple tuple(1, nullptr);
-    while (src.next(m)) {
-      for (std::size_t i = 0; i < m.rows.size(); ++i) {
-        tuple[0] = &m.rows[i];
-        bool pass = true;
-        for (const Expr* e : conjuncts) {
-          if (!truthy(evaluate(*e, tuple))) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        const std::uint64_t rank =
-            (m.id << kMorselRowBits) | static_cast<std::uint64_t>(i);
-        if (grouped_) {
-          accumulate(ws, tuple, rank, 0);
-        } else {
-          emitRow(ws, tuple, rank, 0);
-        }
-      }
-    }
-  }
-
-  void runLoopWorker(WorkerState& ws, MorselSource& src) {
+    // The worker's private copy of the serial join, fed whole morsels as
+    // its outer batches.
     auto fed =
         std::make_unique<MorselFedIter>(&src, plan_->paths[0], plan_->from[0]);
-    MorselFedIter* fed_raw = fed.get();
-    // batch_outer=false: rank accounting reads the fed iterator's *current*
-    // row, which pre-pulling a whole outer batch would run ahead of.
-    NestedLoop loop(*db_, *plan_, batch_rows_, std::move(fed),
-                    /*batch_outer=*/false);
+    const MorselFedIter* fed_raw = fed.get();
+    NestedLoop loop(*db_, *plan_, batch_rows_, std::move(fed));
     if (analyze_) loop.setAnalyze(true);
     loop.open();
-    std::uint64_t last_rank = ~std::uint64_t{0};
-    std::uint64_t sub = 0;
-    while (loop.next()) {
-      const std::uint64_t rank = fed_raw->currentRank();
-      if (rank == last_rank) {
-        ++sub;
-      } else {
-        sub = 0;
-        last_rank = rank;
-      }
+    RowBatch in;
+    GroupInputs inputs(*plan_);
+    for (;;) {
+      in.capacity = batch_rows_;
+      if (!loop.nextBatch(in)) break;
+      const std::uint64_t morsel = fed_raw->morselId() << kMorselRowBits;
       if (grouped_) {
-        accumulate(ws, loop.tuple(), rank, sub);
+        accumulate(ws, inputs, in, loop, morsel);
       } else {
-        emitRow(ws, loop.tuple(), rank, sub);
+        emitRows(ws, in, loop, morsel);
       }
     }
     loop.close();
@@ -2682,80 +2604,88 @@ class GatherOp : public RowOp {
       const std::lock_guard<std::mutex> lock(stats_mu_);
       template_loop_->absorbStats(loop);
     }
+    ws.busy_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
   }
 
-  void accumulate(WorkerState& ws, const Tuple& tuple, std::uint64_t rank,
-                  std::uint64_t sub) {
+  /// Partial aggregation of one joined batch. A lane's rank is its morsel
+  /// bits (`morsel`) | its row index in the morsel, tie-broken by its
+  /// ordinal under that row.
+  void accumulate(WorkerState& ws, GroupInputs& inputs, const RowBatch& in,
+                  const NestedLoop& loop, std::uint64_t morsel) {
+    inputs.evaluate(in);
+    for (const std::uint32_t i : in.sel) {
+      auto [it, inserted] = ws.groups.try_emplace(inputs.key(i));
+      PartialGroup& g = it->second;
+      if (inserted) {
+        ++ws.emitted;
+        const auto [outer, sub] = loop.origin(i);
+        g.first_rank = morsel | outer;
+        g.first_sub = sub;
+        g.aggs.resize(plan_->aggregates.size());
+        // A worker consumes lanes in increasing rank order, so the first
+        // arrival is the worker-local minimum; cross-worker minima resolve
+        // at the merge.
+        in.materializeRow(i, g.first_row);
+      }
+      for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
+        if (const Value* v = inputs.arg(a, i)) {
+          partialAdd(g.aggs[a], *v, plan_->aggregates[a]->agg_distinct);
+        } else {
+          ++g.aggs[a].count;  // COUNT(*)
+        }
+      }
+    }
+  }
+
+  /// Projects one joined batch into ranked entries (locally deduplicated
+  /// and top-K bounded when the plan allows). Sole-column outputs and keys
+  /// take the input column whole (the next pull refills it).
+  void emitRows(WorkerState& ws, RowBatch& in, const NestedLoop& loop,
+                std::uint64_t morsel) {
     const SelectStmt& sel = *plan_->sel;
-    Row key_values;
-    EncodedKey key;
-    for (const ExprPtr& e : sel.group_by) {
-      Value v = evaluate(*e, tuple);
-      encodeValue(v, key);
-      key_values.push_back(std::move(v));
-    }
-    auto [it, inserted] = ws.groups.try_emplace(std::move(key));
-    PartialGroup& g = it->second;
-    if (inserted) {
-      ++ws.emitted;
-      g.key_values = std::move(key_values);
-      g.first_rank = rank;
-      g.first_sub = sub;
-      g.aggs.resize(plan_->aggregates.size());
-      g.first_rows.reserve(tuple.size());
-      // A worker consumes rows in increasing rank order, so the first
-      // arrival is the worker-local minimum; cross-worker minima resolve at
-      // the merge.
-      for (const Row* row : tuple) g.first_rows.push_back(*row);
-    }
-    for (std::size_t a = 0; a < plan_->aggregates.size(); ++a) {
-      const Expr* agg = plan_->aggregates[a];
-      if (agg->lhs) {
-        partialAdd(g.aggs[a], evaluate(*agg->lhs, tuple), agg->agg_distinct);
+    const std::size_t ncols = plan_->outputs.size();
+    std::vector<std::vector<Value>> cols(ncols + sel.order_by.size());
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      const Expr& e = c < ncols ? *plan_->outputs[c].expr : *sel.order_by[c - ncols].expr;
+      if (plan_->sole_column[c]) {
+        cols[c].swap(in.cols[static_cast<std::size_t>(e.bound_flat)]);
       } else {
-        ++g.aggs[a].count;  // COUNT(*)
+        evalRows(e, in, in.sel, cols[c]);
       }
     }
-  }
-
-  void emitRow(WorkerState& ws, const Tuple& tuple, std::uint64_t rank,
-               std::uint64_t sub) {
-    Row row;
-    row.reserve(plan_->outputs.size());
-    for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      row.push_back(evaluate(*out.expr, tuple));
-    }
-    if (distinct_) {
-      // Local dedup: keeps the worker's first (minimum-rank) copy. The
-      // DistinctOp above resolves cross-worker duplicates; dedup must
-      // happen before the top-K heap so duplicates never evict candidates.
-      EncodedKey key;
-      for (const Value& v : row) encodeValue(v, key);
-      if (!ws.seen.insert(std::move(key)).second) return;
-    }
-    ++ws.emitted;
-    const SelectStmt& sel = *plan_->sel;
-    Entry e;
-    e.row = std::move(row);
-    e.rank = rank;
-    e.sub = sub;
-    e.keys.reserve(sel.order_by.size());
-    for (const OrderItem& item : sel.order_by) {
-      e.keys.push_back(evaluate(*item.expr, tuple));
-    }
-    if (top_k_) {
-      if (*top_k_ == 0) return;  // LIMIT 0: consume input, keep nothing
-      auto cmp = [this](const Entry& a, const Entry& b) {
-        return entryBefore(a, b);
-      };
-      ws.rows.push_back(std::move(e));
-      std::push_heap(ws.rows.begin(), ws.rows.end(), cmp);
-      if (ws.rows.size() > *top_k_) {
-        std::pop_heap(ws.rows.begin(), ws.rows.end(), cmp);
-        ws.rows.pop_back();
+    auto cmp = [this](const Entry& a, const Entry& b) { return entryBefore(a, b); };
+    for (const std::uint32_t i : in.sel) {
+      Entry e;
+      e.row.reserve(ncols);
+      for (std::size_t c = 0; c < ncols; ++c) e.row.push_back(std::move(cols[c][i]));
+      if (distinct_) {
+        // Local dedup: keeps the worker's first (minimum-rank) copy. The
+        // DistinctOp above resolves cross-worker duplicates; dedup must
+        // happen before the top-K heap so duplicates never evict candidates.
+        EncodedKey key;
+        for (const Value& v : e.row) encodeValue(v, key);
+        if (!ws.seen.insert(std::move(key)).second) continue;
       }
-    } else {
+      ++ws.emitted;
+      if (top_k_ && *top_k_ == 0) continue;  // LIMIT 0: consume input, keep nothing
+      const auto [outer, sub] = loop.origin(i);
+      e.rank = morsel | outer;
+      e.sub = sub;
+      e.keys.reserve(sel.order_by.size());
+      for (std::size_t k = ncols; k < cols.size(); ++k) {
+        e.keys.push_back(std::move(cols[k][i]));
+      }
       ws.rows.push_back(std::move(e));
+      if (top_k_) {
+        std::push_heap(ws.rows.begin(), ws.rows.end(), cmp);
+        if (ws.rows.size() > *top_k_) {
+          std::pop_heap(ws.rows.begin(), ws.rows.end(), cmp);
+          ws.rows.pop_back();
+        }
+      }
     }
   }
 
@@ -2790,7 +2720,7 @@ class GatherOp : public RowOp {
           // tuple is the serial path's group representative.
           dst.first_rank = pg.first_rank;
           dst.first_sub = pg.first_sub;
-          dst.first_rows = std::move(pg.first_rows);
+          dst.first_row = std::move(pg.first_row);
         }
         for (std::size_t a = 0; a < dst.aggs.size(); ++a) {
           PartialAggState& d = dst.aggs[a];
@@ -2815,8 +2745,7 @@ class GatherOp : public RowOp {
     // groups in encoded-key order.
     for (auto& [key, pg] : merged) {
       Group g;
-      g.key_values = std::move(pg.key_values);
-      g.first_rows = std::move(pg.first_rows);
+      g.first_row = std::move(pg.first_row);
       g.aggs.resize(plan_->aggregates.size());
       for (std::size_t a = 0; a < g.aggs.size(); ++a) {
         const Expr* agg = plan_->aggregates[a];
@@ -2833,33 +2762,9 @@ class GatherOp : public RowOp {
           s.max = p.max;
         }
       }
-      if (sel.having && !truthy(evaluateGrouped(*sel.having, g))) continue;
-      Row row;
-      row.reserve(plan_->outputs.size());
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        row.push_back(evaluateGrouped(*out.expr, g));
-      }
-      std::vector<Value> keys;
-      keys.reserve(sel.order_by.size());
-      for (const OrderItem& item : sel.order_by) {
-        keys.push_back(evaluateGrouped(*item.expr, g));
-      }
-      out_.emplace_back(std::move(row), std::move(keys));
+      emitGroup(*plan_, g, out_);
     }
-    // A fully-aggregated SELECT over zero input rows still yields one row.
-    if (merged.empty() && sel.group_by.empty()) {
-      Group empty;
-      empty.aggs.resize(plan_->aggregates.size());
-      Row row;
-      for (const SelectPlan::OutputCol& out : plan_->outputs) {
-        if (containsAggregate(out.expr) || out.expr->kind == Expr::Kind::Literal) {
-          row.push_back(evaluateGrouped(*out.expr, empty));
-        } else {
-          row.push_back(Value::null());
-        }
-      }
-      out_.emplace_back(std::move(row), std::vector<Value>{});
-    }
+    if (merged.empty() && sel.group_by.empty()) emitEmptyInput(*plan_, out_);
   }
 
   void mergeRows() {
@@ -2924,7 +2829,7 @@ class GatherOp : public RowOp {
   bool analyze_ = false;
   bool ran_ = false;
   bool built_ = false;
-  std::vector<std::pair<Row, std::vector<Value>>> out_;
+  KeyedRows out_;
   std::size_t pos_ = 0;
 };
 
@@ -2972,21 +2877,6 @@ bool RowOp::nextBatch(RowBatch& batch) {
   return ok;
 }
 
-bool RowOp::doNextBatch(RowBatch& batch) {
-  batch.clearRows();
-  const std::size_t cap = batch.capacity > 0 ? batch.capacity : 1;
-  Row row;
-  std::vector<Value> keys;
-  while (batch.nrows < cap && doNext(row, keys)) {
-    batch.appendMoveValues(row, keys);
-    row.clear();
-    keys.clear();
-  }
-  return batch.nrows > 0;
-}
-
-bool batchEligible(const SelectPlan& plan) { return plan.from.size() == 1; }
-
 // ---------------------------------------------------------------------------
 // Pipeline assembly and the materializing wrappers
 // ---------------------------------------------------------------------------
@@ -3014,18 +2904,11 @@ Pipeline buildPipeline(Database& db, SelectPlan& plan, const ExecOptions& opts) 
     op = std::make_unique<GatherOp>(db, plan, opts,
                                     plan.grouped ? std::nullopt : top_k);
   } else {
-    // Single-table subtrees run column-at-a-time: the loop hands whole
-    // batches to Project/Aggregate, which evaluate expressions per column.
-    // Joins keep the row-at-a-time tuple walk (their expressions bind
-    // multiple slots) behind the generic row→batch adapter.
-    const bool batch_input = batchEligible(plan);
     auto loop = std::make_unique<NestedLoop>(db, plan, opts.batch_rows);
     if (plan.grouped) {
-      op = std::make_unique<AggregateOp>(std::move(loop), plan, batch_input,
-                                         opts.batch_rows);
+      op = std::make_unique<AggregateOp>(std::move(loop), plan, opts.batch_rows);
     } else {
-      op = std::make_unique<ProjectOp>(std::move(loop), plan, batch_input,
-                                       opts.batch_rows);
+      op = std::make_unique<ProjectOp>(std::move(loop), plan, opts.batch_rows);
     }
   }
   if (sel.distinct) op = std::make_unique<DistinctOp>(std::move(op));
@@ -3049,46 +2932,58 @@ std::vector<std::string> explainPipeline(Database& db, SelectPlan& plan,
   return lines;
 }
 
-ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
-                         bool analyze, const ExecOptions& opts) {
-  ResultSet rs;
-  if (explain && !analyze) {
-    rs.columns = {"plan"};
-    for (std::string& line : explainPipeline(db, plan, opts)) {
-      rs.rows.push_back({Value(std::move(line))});
-    }
-    return rs;
-  }
+std::vector<std::string> explainAnalyzePipeline(Database& db, SelectPlan& plan,
+                                                const ExecOptions& opts) {
   materializePlanSubqueries(db, plan);
   Pipeline p = buildPipeline(db, plan, opts);
-  if (analyze) {
-    // EXPLAIN ANALYZE: run the statement to exhaustion with per-operator
-    // accounting armed, discard the rows, and emit the annotated tree.
-    p.root->setAnalyze(true);
+  p.root->setAnalyze(true);
+  {
+    const Database::CursorPin pin = db.pinCursor();
     p.root->open();
     RowBatch batch;
     batch.capacity = opts.batch_rows;
     while (p.root->nextBatch(batch)) {
     }
     p.root->close();
-    rs.columns = {"plan"};
-    std::vector<std::string> lines;
-    p.root->describe(lines, 0);
-    for (std::string& line : lines) rs.rows.push_back({Value(std::move(line))});
-    return rs;
   }
-  rs.columns = std::move(p.columns);
-  p.root->open();
+  std::vector<std::string> lines;
+  p.root->describe(lines, 0);
+  return lines;
+}
+
+void drainBatches(const std::function<bool(RowBatch&)>& fetch, std::vector<Row>& rows) {
   RowBatch batch;
-  batch.capacity = opts.batch_rows;
   Row row;
-  while (p.root->nextBatch(batch)) {
-    for (std::uint32_t i : batch.sel) {
+  while (fetch(batch)) {
+    for (const std::uint32_t i : batch.sel) {
       batch.takeRow(i, row);
-      rs.rows.push_back(std::move(row));
+      rows.push_back(std::move(row));
       row = {};
     }
   }
+}
+
+ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
+                         bool analyze, const ExecOptions& opts) {
+  ResultSet rs;
+  if (explain) {
+    rs.columns = {"plan"};
+    for (std::string& line : analyze ? explainAnalyzePipeline(db, plan, opts)
+                                     : explainPipeline(db, plan, opts)) {
+      rs.rows.push_back({Value(std::move(line))});
+    }
+    return rs;
+  }
+  materializePlanSubqueries(db, plan);
+  Pipeline p = buildPipeline(db, plan, opts);
+  rs.columns = std::move(p.columns);
+  p.root->open();
+  drainBatches(
+      [&](RowBatch& batch) {
+        batch.capacity = opts.batch_rows;
+        return p.root->nextBatch(batch);
+      },
+      rs.rows);
   p.root->close();
   return rs;
 }

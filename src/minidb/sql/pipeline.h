@@ -1,17 +1,21 @@
 // minidb SQL execution pipeline (internal header).
 //
 // SELECT execution is a Volcano-style operator tree: each operator exposes
-// open()/nextBatch()/close() (plus a row-at-a-time next() adapter) and pulls
-// column-major RowBatches from its child, so the first output row is produced
-// without materializing the whole result. The tree is
+// open()/nextBatch()/close() and pulls column-major RowBatches from its
+// child, so the first output batch is produced without materializing the
+// whole result. The tree is
 //
 //   Limit -> Sort -> Distinct -> (Project | Aggregate) -> NestedLoop
 //
 // with the NestedLoop driving one SlotIter chain per FROM entry
-// (SeqScan / IndexProbe wrapped by FilterOp stages). Sort uses a bounded
-// top-K heap when the plan carries LIMIT, so ORDER BY ... LIMIT n never
-// materializes more than offset+n rows. EXPLAIN renders this tree, one line
-// per operator, root first.
+// (SeqScan / IndexProbe wrapped by FilterOp stages): table 0 arrives in
+// batches, inner levels are probed per outer row, and the loop emits batches
+// of joined rows (one column per column of every FROM entry), so the
+// operators above run one column-wise code path for one table or many.
+// Sort uses a bounded top-K heap when the plan carries LIMIT, so ORDER BY
+// ... LIMIT n never materializes more than offset+n rows. EXPLAIN renders
+// this tree, one line per operator, root first. Row-at-a-time stepping is
+// the cursor's job (Cursor::next in executor.cpp), not the operators'.
 //
 // When ExecOptions.degree >= 2 and the plan's shape allows it (blocking
 // Aggregate/Distinct/Sort above table 0, no LIMIT-without-ORDER-BY early
@@ -19,13 +23,14 @@
 // subtree runs morsel-driven instead: a shared MorselSource partitions
 // table 0 into ~2k-row morsels (whole heap pages for SeqScan, chunked
 // cursor pulls for index paths) consumed by workers from the process-wide
-// ExecPool. Each worker runs a private partial pipeline — batch-at-a-time
-// scan/filter/project loops, a partial hash aggregate, or a per-worker
-// top-K heap — and a single GatherOp merges the thread-local states at the
-// barrier, after which the serial operators above (Distinct, Sort, Limit)
-// run unchanged. Degree 1 is exactly the serial path. EXPLAIN shows the
-// parallel subtree under "GATHER (workers=N)"; EXPLAIN ANALYZE rolls the
-// per-worker rows/time into the subtree's OpStats.
+// ExecPool. Each worker runs a private copy of the serial join with whole
+// morsels as its outer batches, feeding a partial hash aggregate or ranked
+// projected rows (optionally a per-worker top-K heap), and a single
+// GatherOp merges the thread-local states at the barrier, after which the
+// serial operators above (Distinct, Sort, Limit) run unchanged. Degree 1 is
+// exactly the serial path. EXPLAIN shows the parallel subtree under
+// "GATHER (workers=N)"; EXPLAIN ANALYZE rolls the per-worker rows/time into
+// the subtree's OpStats.
 //
 // This header is internal to minidb/sql: executor.cpp (statements, prepared
 // statements, cursors) builds on it; nothing above the SQL layer includes it.
@@ -33,6 +38,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -149,6 +155,19 @@ struct SelectPlan {
   std::vector<AccessPath> paths;
   std::vector<Expr*> aggregates;
   bool grouped = false;
+
+  /// A column the operators above the join read (outputs, ORDER BY, GROUP
+  /// BY, HAVING): FROM entry, ordinal there, and joined-row ordinal
+  /// (Expr::bound_flat). A joined batch fills only these columns.
+  struct ReadCol {
+    std::size_t table = 0;
+    std::size_t col = 0;
+    std::size_t flat = 0;
+  };
+  std::vector<ReadCol> read_cols;  // ascending flat
+  /// Per output, then per ORDER BY key: whether it is a bare column that no
+  /// other output or key reads (Project moves such values, not copies).
+  std::vector<char> sole_column;
 };
 
 /// Resolves column references against a FROM list; used by the SELECT
@@ -224,13 +243,12 @@ class OpTick {
 
 }  // namespace detail
 
-/// One pipeline operator. The primary pull interface is batch-at-a-time:
+/// One pipeline operator. Its one pull interface is batch-at-a-time:
 /// nextBatch() fills a column-major RowBatch (with ORDER BY keys for
-/// operators below the Sort) and returns false only at end of stream — a
-/// true return always carries at least one live row. next() is the thin
-/// row-at-a-time adapter kept for row-stepping callers; both draw from the
-/// same operator state, so a consumer may mix them. Operators tolerate
-/// next()/nextBatch() after exhaustion and close() twice.
+/// operators below the Sort) of at most `capacity` rows (0 = the operator's
+/// exec_batch_rows) and returns false only at end of stream — a true return
+/// always carries at least one live row. Operators tolerate nextBatch()
+/// after exhaustion and close() twice.
 ///
 /// The public surface wraps the virtual do*() hooks so EXPLAIN ANALYZE can
 /// account loops/rows/time per operator without touching every subclass.
@@ -243,13 +261,6 @@ class RowOp {
     ++stats_.loops;
     const detail::OpTick tick(stats_);
     doOpen();
-  }
-  bool next(Row& row, std::vector<Value>& keys) {
-    if (!stats_.timed) return doNext(row, keys);
-    const detail::OpTick tick(stats_);
-    const bool ok = doNext(row, keys);
-    if (ok) ++stats_.rows;
-    return ok;
   }
   /// Batch pull. Defined in pipeline.cpp (it feeds the exec metrics).
   bool nextBatch(RowBatch& batch);
@@ -273,11 +284,7 @@ class RowOp {
 
  protected:
   virtual void doOpen() = 0;
-  virtual bool doNext(Row& row, std::vector<Value>& keys) = 0;
-  /// Default adapter: loops doNext() into the batch. Batch-native operators
-  /// (single-table Project/Aggregate, Distinct, Sort, Limit, Gather)
-  /// override it.
-  virtual bool doNextBatch(RowBatch& batch);
+  virtual bool doNextBatch(RowBatch& batch) = 0;
   virtual void doClose() = 0;
   /// Appends this operator's EXPLAIN line(s), children indented below.
   virtual void doDescribe(std::vector<std::string>& lines, int depth) const = 0;
@@ -299,12 +306,6 @@ struct Pipeline {
 /// sequential scans, so the realized size tracks the page fill).
 inline constexpr std::size_t kMorselTargetRows = 2048;
 
-/// Single-table plans stream columnar batches from the scan straight through
-/// Filter/Project/Aggregate; joins keep the row-at-a-time tuple interface
-/// above a batched outer (table 0) side. This predicate also gates the
-/// batch-at-a-time parallel worker loop.
-bool batchEligible(const SelectPlan& plan);
-
 /// Builds the operator tree for `plan`. Only reads page headers (for the
 /// parallel-eligibility gate); does not open any cursor until the root is
 /// open()ed, so it is safe to build for EXPLAIN only.
@@ -320,10 +321,20 @@ void materializePlanSubqueries(Database& db, SelectPlan& plan);
 std::vector<std::string> explainPipeline(Database& db, SelectPlan& plan,
                                          const ExecOptions& opts);
 
+/// EXPLAIN ANALYZE: runs the plan to exhaustion (under a cursor pin) with
+/// per-operator accounting armed, discards the rows, and returns the
+/// annotated operator tree, one line per operator.
+std::vector<std::string> explainAnalyzePipeline(Database& db, SelectPlan& plan,
+                                                const ExecOptions& opts);
+
+/// Moves every live row of each batch `fetch` yields into `rows`: the one
+/// SELECT drain loop behind exec() and PreparedStatement::execute().
+void drainBatches(const std::function<bool(RowBatch&)>& fetch, std::vector<Row>& rows);
+
 /// Runs a previously built plan to completion (the thin materializing
-/// wrapper the exec() entry points use). With `analyze` set the plan is
-/// executed with per-operator accounting and the result is the annotated
-/// operator tree (EXPLAIN ANALYZE), one line per row.
+/// wrapper the exec() entry points use). With `explain` set the result is
+/// the operator tree instead, annotated with actuals when `analyze` is set
+/// (EXPLAIN ANALYZE), one line per row.
 ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
                          bool analyze, const ExecOptions& opts);
 

@@ -78,11 +78,13 @@ struct RowBatch {
       keys[k].push_back(k < key_vals.size() ? std::move(key_vals[k]) : Value());
   }
 
-  /// Copies row `i` (a value from `sel`) into `out`.
+  /// Copies row `i` (a value from `sel`) into `out`. A column the producer
+  /// left empty (a joined batch fills only the columns read above the join)
+  /// reads as NULL.
   void materializeRow(std::uint32_t i, Row& out) const {
     out.clear();
     out.reserve(cols.size());
-    for (const auto& c : cols) out.push_back(c[i]);
+    for (const auto& c : cols) out.push_back(i < c.size() ? c[i] : Value());
   }
 
   /// Moves row `i` out of the batch (each value is left moved-from; valid

@@ -4,8 +4,13 @@
 // in progress.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "minidb/database.h"
 #include "minidb/sql/executor.h"
+#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace perftrack::minidb::sql {
@@ -212,6 +217,127 @@ TEST_F(CursorTest, ExplainCursorHoldsNoPin) {
   std::size_t lines = 0;
   while (cur.next(row)) ++lines;
   EXPECT_GT(lines, 0u);
+}
+
+TEST_F(CursorTest, ExplainCursorStepsAndBatchesTheSameLines) {
+  const char* kSql = "EXPLAIN SELECT r.machine FROM runs r JOIN runs s ON s.id = r.id";
+  const ResultSet rs = sql_.exec(kSql);
+  ASSERT_GE(rs.rows.size(), 3u);
+  // next() first, then fetchBatch() for the rest, then next() at the end.
+  Cursor cur = sql_.openCursor(kSql);
+  std::vector<std::string> lines;
+  Row row;
+  ASSERT_TRUE(cur.next(row));
+  lines.push_back(row[0].asText());
+  RowBatch batch;
+  batch.capacity = 1;
+  ASSERT_TRUE(cur.fetchBatch(batch));
+  for (const std::uint32_t i : batch.sel) lines.push_back(batch.cols[0][i].asText());
+  while (cur.next(row)) lines.push_back(row[0].asText());
+  ASSERT_EQ(lines.size(), rs.rows.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i], rs.rows[i][0].asText());
+  }
+  EXPECT_FALSE(cur.isOpen());
+}
+
+// --- row stepping over batches ---------------------------------------------
+//
+// Cursor::next() hands out rows of batches pulled through fetchBatch(); the
+// first pulls are small (32 rows, doubling up to exec_batch_rows) so that a
+// consumer stepping a few rows does not pay for a full batch of scanning.
+
+class CursorAdapterTest : public CursorTest {
+ protected:
+  CursorAdapterTest() {
+    sql_.exec("CREATE TABLE big (id INTEGER PRIMARY KEY, run_id INTEGER, v INTEGER)");
+    std::string insert;
+    for (int i = 1; i <= 6000; ++i) {
+      insert += insert.empty() ? "INSERT INTO big VALUES " : ", ";
+      insert += "(" + std::to_string(i) + ", " + std::to_string(i % 6) + ", " +
+                std::to_string(i % 97) + ")";
+    }
+    sql_.exec(insert);
+  }
+
+  /// Page reads the pager served while `fn` ran (a proxy for rows scanned).
+  static std::uint64_t pageReads(const std::function<void()>& fn) {
+    const obs::Counter& reads =
+        obs::Registry::global().counter("pt_pager_page_reads_total");
+    const std::uint64_t before = reads.value();
+    fn();
+    return reads.value() - before;
+  }
+
+  static std::string render(const Row& row) {
+    std::string out;
+    for (const Value& v : row) out += (v.isNull() ? "NULL" : v.toDisplayString()) + "|";
+    return out;
+  }
+};
+
+TEST_F(CursorAdapterTest, MixingNextAndFetchBatchOnAJoinYieldsThePureDrain) {
+  // run_id 0 and 5 match no run; 1..4 match one each.
+  const char* kSql =
+      "SELECT b.id, r.machine, b.v FROM big b JOIN runs r ON b.run_id = r.id "
+      "WHERE b.v < 90";
+  for (const int batch_rows : {1, 7, 1024}) {
+    sql_.setOption("exec_batch_rows", batch_rows);
+    std::vector<std::string> expected;
+    for (const Row& row : sql_.exec(kSql).rows) expected.push_back(render(row));
+    ASSERT_GT(expected.size(), 3000u);
+    Cursor cur = sql_.openCursor(kSql);
+    std::vector<std::string> got;
+    Row row;
+    RowBatch batch;
+    for (std::size_t step = 0;; ++step) {
+      if (step % 3 == 2) {
+        batch.capacity = step % 2 == 0 ? 5 : 0;  // a small cap, then the default
+        if (!cur.fetchBatch(batch)) break;
+        for (const std::uint32_t i : batch.sel) {
+          batch.materializeRow(i, row);
+          got.push_back(render(row));
+        }
+      } else {
+        if (!cur.next(row)) break;
+        got.push_back(render(row));
+      }
+    }
+    EXPECT_EQ(got, expected) << "exec_batch_rows=" << batch_rows;
+    EXPECT_FALSE(cur.isOpen());
+  }
+}
+
+TEST_F(CursorAdapterTest, RowSteppedLimitWithoutOrderByDoesNotOverScan) {
+  const std::uint64_t full = pageReads([&] { sql_.exec("SELECT id FROM big"); });
+  for (const char* sql :
+       {"SELECT id FROM big LIMIT 3",
+        "SELECT b.id, r.machine FROM big b JOIN runs r ON b.run_id = r.id LIMIT 3"}) {
+    std::vector<std::int64_t> ids;
+    const std::uint64_t stepped = pageReads([&] {
+      Cursor cur = sql_.openCursor(sql);
+      Row row;
+      while (cur.next(row)) ids.push_back(row[0].asInt());
+    });
+    EXPECT_EQ(ids.size(), 3u) << sql;
+    EXPECT_LT(stepped * 20, full) << sql << ": " << stepped << " of " << full;
+  }
+}
+
+TEST_F(CursorAdapterTest, ClosingAfterThreeRowsStopsTheScan) {
+  const std::uint64_t full = pageReads([&] { sql_.exec("SELECT id, v FROM big"); });
+  for (const char* sql :
+       {"SELECT id, v FROM big",
+        "SELECT b.id, r.machine FROM big b JOIN runs r ON b.run_id = r.id"}) {
+    const std::uint64_t stepped = pageReads([&] {
+      Cursor cur = sql_.openCursor(sql);
+      Row row;
+      for (int i = 0; i < 3; ++i) ASSERT_TRUE(cur.next(row)) << sql;
+      cur.close();
+    });
+    EXPECT_LT(stepped * 20, full) << sql << ": " << stepped << " of " << full;
+    EXPECT_EQ(db_->openCursorCount(), 0u);
+  }
 }
 
 // --- storage-level cursors ---------------------------------------------------

@@ -7,14 +7,14 @@
 // stream. One executes every statement with inlined literals through
 // Engine::exec; the second executes the parameterized form ('?'
 // placeholders) through prepare()/bind/execute; the third also prepares, but
-// drains every SELECT one row at a time through openCursor()/next(); the
-// fourth drains through fetchBatch() with a deliberately odd batch size (7)
-// so every query ends on a partial batch. The paths share the parser but
-// diverge at parameter substitution, plan caching, epoch revalidation, and
-// (for the cursor twins) the materializing wrapper vs the row-at-a-time vs
-// the vectorized operator pipeline. Any divergence (different rows,
-// different rows_affected, an error on one side only) is a bug in one of
-// the paths.
+// drains every SELECT one row at a time through openCursor()/next(), the
+// cursor's row adapter over its own ramped batch pulls; the fourth drains
+// through fetchBatch() with a deliberately odd batch size (7) so every query
+// ends on a partial batch. The paths share the parser but diverge at
+// parameter substitution, plan caching, epoch revalidation, and (for the
+// cursor twins) the materializing wrapper vs the cursor's row adapter vs
+// direct batch pulls. Any divergence (different rows, different
+// rows_affected, an error on one side only) is a bug in one of the paths.
 //
 // Statement mix: INSERT (with NULLs, negative ints, reals, text), UPDATE,
 // DELETE, point/range/IN SELECTs with ORDER BY, occasional CREATE/DROP
