@@ -10,7 +10,8 @@
 #                            tracer cross-thread races; morsel-driven
 #                            parallel query execution and the shared
 #                            ExecPool; WAL snapshot readers racing
-#                            group-commit writers)
+#                            group-commit writers; the WAL crash matrix
+#                            and log-format tests)
 #   scripts/ci.sh bench      normal build + bench smoke (non-gating label)
 #
 # Each mode uses its own build directory so they can be run back to back.

@@ -30,9 +30,11 @@
 // the durability-ablation benchmarks.
 //
 // Durability::Wal replaces the rollback journal with a write-ahead log
-// (`<db>.wal`): flush() appends the dirty pages as checksummed frames (the
+// (`<db>.wal`): flush() appends the dirty pages as frames whose checksums
+// chain (each one seeds the next; version 2 hashes with XXH64, version-1
+// logs with FNV-1a still replay), staged and written ~1 MiB per call; the
 // last frame of each commit carries the new page count and acts as the
-// commit marker), so a commit never rewrites the database file and a crash
+// commit marker. So a commit never rewrites the database file and a crash
 // at any point leaves a committed prefix — recovery replays every complete,
 // checksum-chained commit from the WAL into the db file and discards the
 // torn tail. A checkpoint folds the WAL back into the db file when no pinned
@@ -107,12 +109,18 @@ struct WalHeader {
 struct WalFrameHeader {
   std::uint32_t page_id;
   std::uint32_t commit_page_count;  // 0 = not a commit boundary
-  std::uint64_t checksum;           // chained FNV-1a over header fields + image
+  std::uint64_t checksum;           // chained XXH64 over header fields + image
 };
 
 inline constexpr std::uint32_t kWalMagic = 0x5054574C;  // "PTWL"
-inline constexpr std::uint32_t kWalVersion = 1;
+/// The WAL format this build writes: XXH64-chained frame checksums.
+inline constexpr std::uint32_t kWalVersion = 2;
+/// The earlier format (byte-serial FNV-1a chain); recovery still replays it.
+inline constexpr std::uint32_t kWalVersionFnv1a = 1;
 inline constexpr std::size_t kWalFrameSize = sizeof(WalFrameHeader) + kPageSize;
+/// Frames assembled per WAL write (~1 MiB): a commit of N frames makes
+/// ceil(N / kWalStageFrames) write calls before its one fsync.
+inline constexpr std::size_t kWalStageFrames = 128;
 
 /// Default auto-checkpoint threshold: checkpoint before a commit once the WAL
 /// holds this many frames (and no snapshot pins an older version).
@@ -417,7 +425,8 @@ class FilePager final : public Pager {
   void recoverHotJournal();
   /// Replays every complete committed transaction from a leftover WAL into
   /// the db file, discards the torn tail, and removes the WAL. Updates
-  /// recovery_stats_.
+  /// recovery_stats_. Throws StorageError, touching neither file, when the
+  /// log has a whole header of an unknown version or page size.
   void recoverWal();
   void flushDurable();
   void flushInPlace();
@@ -448,6 +457,9 @@ class FilePager final : public Pager {
   std::atomic<std::uint32_t> wal_frames_{0};
   std::uint32_t wal_autocheckpoint_ = kDefaultWalAutoCheckpoint;
   std::unordered_set<PageId> wal_pages_;  // pages with frames in the WAL
+  // Frames being appended, up to kWalStageFrames of them; reused across
+  // commits so an append allocates nothing once it has grown.
+  std::vector<std::uint8_t> wal_stage_;
   // The last published table whose content is fully covered by WAL frames
   // (updated after every successful append). Checkpoints fold THIS table —
   // never the freshest published one, which between commitJournal() and

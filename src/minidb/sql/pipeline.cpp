@@ -622,7 +622,10 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
     for (Expr* e : raw) {
       SelectPlan::PlannedConjunct pc;
       pc.expr = e;
-      pc.max_table = binder.bind(*e);
+      pc.level = std::max(binder.bind(*e), 0);
+      if (on_table >= 0 && sel.from[static_cast<std::size_t>(on_table)].left_join) {
+        pc.level = std::max(pc.level, on_table);
+      }
       pc.on_table = on_table;
       plan.conjuncts.push_back(pc);
     }
@@ -688,6 +691,8 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
   for (std::size_t t = 0; t < plan.from.size(); ++t) {
     SelectPlan::AccessPath& path = plan.paths[t];
     for (const SelectPlan::PlannedConjunct& pc : plan.conjuncts) {
+      // A later LEFT JOIN's ON conjunct must not narrow this table's rows.
+      if (pc.level > static_cast<int>(t)) continue;
       Expr* e = pc.expr;
 
       // col IN (list): sorted multi-point probe when every list element is
@@ -1495,9 +1500,7 @@ class NestedLoop {
       std::vector<Expr*> on_list;
       std::vector<Expr*> where_list;
       for (const SelectPlan::PlannedConjunct& pc : plan.conjuncts) {
-        const bool due = pc.max_table == static_cast<int>(t) ||
-                         (t == 0 && pc.max_table <= 0);
-        if (!due) continue;
+        if (pc.level != static_cast<int>(t)) continue;
         if (pc.on_table == static_cast<int>(t)) {
           if (pc.expr != path.in_list) on_list.push_back(pc.expr);
         } else {

@@ -90,7 +90,10 @@ struct SelectPlan {
 
   struct PlannedConjunct {
     Expr* expr = nullptr;
-    int max_table = -1;  // evaluate once all tables <= max_table are bound
+    int level = 0;       // join level that evaluates it: the highest table it
+                         // reads, or a LEFT JOIN's own level for that join's
+                         // ON conjuncts (which decide matching there even when
+                         // they read only earlier tables)
     int on_table = -1;   // index of the JOIN whose ON clause supplied it, or
                          // -1 for WHERE conjuncts (LEFT JOIN semantics)
   };

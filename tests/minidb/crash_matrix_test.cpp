@@ -24,9 +24,11 @@
 // commits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -36,6 +38,7 @@
 #include "minidb/pager.h"
 #include "minidb/vfs.h"
 #include "util/error.h"
+#include "util/rng.h"
 #include "util/tempdir.h"
 
 namespace perftrack::minidb {
@@ -541,6 +544,416 @@ TEST(WalPager, PinnedSnapshotDefersAutocheckpoint) {
   std::memcpy(pager.pageForWrite(id), "post", 4);
   pager.flush();  // threshold long exceeded: folds now
   EXPECT_LE(pager.walFrameCount(), 2u);
+}
+
+// --- WAL format --------------------------------------------------------------
+//
+// These tests corrupt crashed logs byte by byte and reopen them thousands of
+// times, so they keep their files in memory.
+
+/// One in-memory file; shared so a handle stays valid if the name is removed.
+using MemBytes = std::shared_ptr<std::vector<std::uint8_t>>;
+
+class MemFile final : public VfsFile {
+ public:
+  explicit MemFile(MemBytes bytes) : bytes_(std::move(bytes)) {}
+
+  std::size_t read(std::uint64_t offset, void* buf, std::size_t n) override {
+    if (offset >= bytes_->size()) return 0;
+    n = std::min<std::size_t>(n, bytes_->size() - offset);
+    std::memcpy(buf, bytes_->data() + offset, n);
+    return n;
+  }
+  void write(std::uint64_t offset, const void* buf, std::size_t n) override {
+    if (bytes_->size() < offset + n) bytes_->resize(offset + n);
+    std::memcpy(bytes_->data() + offset, buf, n);
+  }
+  void sync() override {}
+  void truncate(std::uint64_t size) override { bytes_->resize(size); }
+  std::uint64_t size() override { return bytes_->size(); }
+
+ private:
+  MemBytes bytes_;
+};
+
+/// Files by name; `image()` / the image constructor copy every file's bytes.
+class MemVfs final : public Vfs {
+ public:
+  using Image = std::map<std::string, std::vector<std::uint8_t>>;
+
+  MemVfs() = default;
+  explicit MemVfs(const Image& image) {
+    for (const auto& [name, bytes] : image) {
+      files_[name] = std::make_shared<std::vector<std::uint8_t>>(bytes);
+    }
+  }
+
+  std::unique_ptr<VfsFile> open(const std::string& path, bool create) override {
+    auto it = files_.find(path);
+    if (it == files_.end()) {
+      if (!create) throw util::StorageError("MemVfs: no such file " + path);
+      it = files_.emplace(path, std::make_shared<std::vector<std::uint8_t>>()).first;
+    }
+    return std::make_unique<MemFile>(it->second);
+  }
+  bool exists(const std::string& path) override { return files_.contains(path); }
+  void remove(const std::string& path) override { files_.erase(path); }
+
+  Image image() const {
+    Image out;
+    for (const auto& [name, bytes] : files_) out[name] = *bytes;
+    return out;
+  }
+
+ private:
+  std::map<std::string, MemBytes> files_;
+};
+
+constexpr const char* kMemDb = "mem.db";
+const std::string kMemWal = FilePager::walPathFor(kMemDb);
+
+/// Every logical page of the pager's current state, byte for byte.
+std::vector<PageBuf> pagesOf(const Pager& pager) {
+  std::vector<PageBuf> out(pager.pageCount());
+  for (PageId id = 0; id < out.size(); ++id) {
+    std::memcpy(out[id].data(), pager.pageForRead(id), kPageSize);
+  }
+  return out;
+}
+
+/// Opens the store in `image` (running recovery) and returns its pages.
+std::vector<PageBuf> recoveredPages(const MemVfs::Image& image, RecoveryStats* stats) {
+  MemVfs vfs(image);
+  FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+  if (stats != nullptr) *stats = pager.recoveryStats();
+  return pagesOf(pager);
+}
+
+/// Makes every later disk operation of `vfs` fail, so the pager's close
+/// leaves its log exactly as a killed process would.
+void crashAfterThis(FaultInjectingVfs& vfs) {
+  FaultPlan plan;
+  plan.fail_at_op = vfs.mutatingOps() + 1;
+  vfs.setPlan(plan);
+}
+
+std::uint64_t frameOffset(std::size_t frame) {
+  return sizeof(WalHeader) + frame * kWalFrameSize;
+}
+
+/// A crashed store whose WAL holds three commits: A (frames 0-1: the header
+/// page and page 1), B (frames 2-5: pages 0-3) and C (frame 6: page 1), with
+/// the pages as of each commit.
+struct ThreeCommitLog {
+  MemVfs::Image image;
+  std::vector<PageBuf> after_a, after_b, after_c;
+};
+
+ThreeCommitLog threeCommitLog() {
+  ThreeCommitLog log;
+  MemVfs mem;
+  FaultInjectingVfs vfs(mem);
+  {
+    FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+    const PageId p = pager.allocate();
+    std::memcpy(pager.pageForWrite(p), "commit A", 8);
+    pager.flush();
+    log.after_a = pagesOf(pager);
+    const PageId q = pager.allocate();
+    const PageId r = pager.allocate();
+    std::memcpy(pager.pageForWrite(p), "commit B", 8);
+    std::memcpy(pager.pageForWrite(q), "q of B", 6);
+    std::memcpy(pager.pageForWrite(r), "r of B", 6);
+    pager.flush();
+    log.after_b = pagesOf(pager);
+    std::memcpy(pager.pageForWrite(p), "commit C", 8);
+    pager.flush();
+    log.after_c = pagesOf(pager);
+    EXPECT_EQ(pager.walFrameCount(), 7u);
+    crashAfterThis(vfs);
+  }
+  log.image = mem.image();
+  return log;
+}
+
+TEST(WalPager, CrashedLogReplaysEveryCommit) {
+  const ThreeCommitLog log = threeCommitLog();
+  WalHeader wh{};
+  std::memcpy(&wh, log.image.at(kMemWal).data(), sizeof(wh));
+  EXPECT_EQ(wh.version, kWalVersion);
+  EXPECT_EQ(log.image.at(kMemWal).size(), frameOffset(7));
+  RecoveryStats stats;
+  EXPECT_EQ(recoveredPages(log.image, &stats), log.after_c);
+  EXPECT_TRUE(stats.wal_replayed);
+  EXPECT_FALSE(stats.discarded_invalid_wal);
+}
+
+TEST(WalPager, SingleBitFlipStopsRecoveryAtThatFrame) {
+  const ThreeCommitLog log = threeCommitLog();
+  // A flip in B's frames (2-5) drops B and, through the chain, C; a flip in
+  // C's frame (6) drops C alone.
+  const auto flipAndRecover = [&](std::size_t frame, std::size_t byte, int bit) {
+    MemVfs::Image image = log.image;
+    image.at(kMemWal).at(frameOffset(frame) + byte) ^=
+        static_cast<std::uint8_t>(1u << bit);
+    RecoveryStats stats;
+    const std::vector<PageBuf> got = recoveredPages(image, &stats);
+    EXPECT_TRUE(stats.wal_replayed);
+    EXPECT_TRUE(stats.discarded_invalid_wal);
+    EXPECT_TRUE(got == (frame == 6 ? log.after_b : log.after_a))
+        << "frame " << frame << " byte " << byte << " bit " << bit;
+  };
+  for (std::size_t frame = 2; frame <= 6; ++frame) {
+    for (std::size_t byte = 0; byte < sizeof(WalFrameHeader); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) flipAndRecover(frame, byte, bit);
+    }
+  }
+  util::Rng rng(12345);
+  for (int i = 0; i < 2000; ++i) {
+    const auto frame = static_cast<std::size_t>(rng.uniformInt(2, 6));
+    const auto byte = sizeof(WalFrameHeader) +
+                      static_cast<std::size_t>(rng.uniformInt(0, kPageSize - 1));
+    flipAndRecover(frame, byte, static_cast<int>(rng.uniformInt(0, 7)));
+  }
+}
+
+TEST(WalPager, SwappedFramesNeverValidate) {
+  const ThreeCommitLog log = threeCommitLog();
+  for (const auto& [a, b] : {std::pair<std::size_t, std::size_t>{2, 3}, {5, 6}}) {
+    MemVfs::Image image = log.image;
+    auto& wal = image.at(kMemWal);
+    std::swap_ranges(wal.begin() + static_cast<std::ptrdiff_t>(frameOffset(a)),
+                     wal.begin() + static_cast<std::ptrdiff_t>(frameOffset(a + 1)),
+                     wal.begin() + static_cast<std::ptrdiff_t>(frameOffset(b)));
+    RecoveryStats stats;
+    EXPECT_TRUE(recoveredPages(image, &stats) == log.after_a) << a << "<->" << b;
+    EXPECT_TRUE(stats.discarded_invalid_wal);
+  }
+}
+
+TEST(WalPager, FramesFromAnEarlierSaltNeverValidate) {
+  // Generation 1 (salt 1) logs commits A and A2, a checkpoint folds them,
+  // and generation 2 (salt 2) logs commit B over the start of the same file.
+  MemVfs mem;
+  FaultInjectingVfs vfs(mem);
+  std::vector<std::uint8_t> gen1;
+  std::vector<PageBuf> after_a2, after_b;
+  {
+    FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+    const PageId p = pager.allocate();
+    std::memcpy(pager.pageForWrite(p), "commit A", 8);
+    pager.flush();
+    std::memcpy(pager.pageForWrite(p), "commit A2", 9);
+    std::memcpy(pager.pageForWrite(pager.allocate()), "new in A2", 9);
+    pager.flush();
+    after_a2 = pagesOf(pager);
+    gen1 = mem.image().at(kMemWal);
+    pager.checkpoint();
+    std::memcpy(pager.pageForWrite(p), "commit B", 8);
+    pager.flush();
+    after_b = pagesOf(pager);
+    crashAfterThis(vfs);
+  }
+  const MemVfs::Image crashed = mem.image();
+  const std::vector<std::uint8_t>& gen2 = crashed.at(kMemWal);
+  ASSERT_EQ(gen2.size(), frameOffset(1));
+  ASSERT_GT(gen1.size(), frameOffset(3));
+
+  // Stale generation-1 frames left past generation 2's end are discarded.
+  MemVfs::Image stale_tail = crashed;
+  stale_tail.at(kMemWal) = gen1;
+  std::copy(gen2.begin(), gen2.end(), stale_tail.at(kMemWal).begin());
+  RecoveryStats stats;
+  EXPECT_TRUE(recoveredPages(stale_tail, &stats) == after_b);
+  EXPECT_TRUE(stats.wal_replayed);
+  EXPECT_TRUE(stats.discarded_invalid_wal);
+
+  // A generation-1 frame in generation 2's first slot: nothing validates,
+  // and the checkpointed db file alone is the state.
+  MemVfs::Image stale_head = crashed;
+  const auto at = [](std::uint64_t off) { return static_cast<std::ptrdiff_t>(off); };
+  std::copy(gen1.begin() + at(frameOffset(0)), gen1.begin() + at(frameOffset(1)),
+            stale_head.at(kMemWal).begin() + at(frameOffset(0)));
+  EXPECT_TRUE(recoveredPages(stale_head, &stats) == after_a2);
+  EXPECT_FALSE(stats.wal_replayed);
+  EXPECT_TRUE(stats.discarded_invalid_wal);
+}
+
+/// Appends one version-1 frame (FNV-1a chain, as the earlier format wrote
+/// it) to `wal`, continuing `chain`.
+void appendV1Frame(std::vector<std::uint8_t>& wal, std::uint64_t& chain, PageId id,
+                   std::uint32_t commit_page_count, const PageBuf& image) {
+  const auto fnv = [](std::uint64_t h, const void* data, std::size_t n) {
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ULL;
+    return h;
+  };
+  chain = fnv(chain, &id, sizeof(id));
+  chain = fnv(chain, &commit_page_count, sizeof(commit_page_count));
+  chain = fnv(chain, image.data(), image.size());
+  const WalFrameHeader fh{id, commit_page_count, chain};
+  const auto* h = reinterpret_cast<const std::uint8_t*>(&fh);
+  wal.insert(wal.end(), h, h + sizeof(fh));
+  wal.insert(wal.end(), image.begin(), image.end());
+}
+
+/// A cleanly closed store holding one page (page 1) that reads "base".
+MemVfs::Image baseStore(std::vector<PageBuf>* pages) {
+  MemVfs mem;
+  {
+    FilePager pager(kMemDb, Durability::Wal, &mem, 0);
+    std::memcpy(pager.pageForWrite(pager.allocate()), "base", 4);
+    pager.flush();
+    *pages = pagesOf(pager);
+  }
+  EXPECT_FALSE(mem.exists(kMemWal));
+  return mem.image();
+}
+
+/// A version-1 log of two commits rewriting page 1 ("v1 one", "v1 two").
+std::vector<std::uint8_t> v1Log(const std::vector<PageBuf>& base,
+                                std::vector<PageBuf>* after) {
+  const std::uint64_t salt = 77;
+  const WalHeader wh{kWalMagic, kWalVersionFnv1a, kPageSize, 0, salt};
+  std::vector<std::uint8_t> wal(sizeof(wh));
+  std::memcpy(wal.data(), &wh, sizeof(wh));
+  std::uint64_t chain = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < sizeof(salt); ++i) {
+    chain = (chain ^ ((salt >> (8 * i)) & 0xFF)) * 1099511628211ULL;
+  }
+  *after = base;
+  for (const char* text : {"v1 one", "v1 two"}) {
+    std::memcpy((*after)[1].data(), text, 6);
+    appendV1Frame(wal, chain, 1, static_cast<std::uint32_t>(after->size()), (*after)[1]);
+  }
+  return wal;
+}
+
+TEST(WalPager, VersionOneLogStillReplays) {
+  std::vector<PageBuf> base;
+  MemVfs::Image image = baseStore(&base);
+  std::vector<PageBuf> after;
+  image[kMemWal] = v1Log(base, &after);
+  RecoveryStats stats;
+  EXPECT_TRUE(recoveredPages(image, &stats) == after);
+  EXPECT_TRUE(stats.wal_replayed);
+  EXPECT_FALSE(stats.discarded_invalid_wal);
+  EXPECT_EQ(stats.wal_frames_applied, 1u);
+
+  // The version picks the hash: the same frames under a version-2 header
+  // do not validate.
+  WalHeader wh{};
+  std::memcpy(&wh, image[kMemWal].data(), sizeof(wh));
+  wh.version = kWalVersion;
+  std::memcpy(image[kMemWal].data(), &wh, sizeof(wh));
+  EXPECT_TRUE(recoveredPages(image, &stats) == base);
+  EXPECT_FALSE(stats.wal_replayed);
+  EXPECT_TRUE(stats.discarded_invalid_wal);
+}
+
+TEST(WalPager, UnknownVersionOrPageSizeIsAnErrorAndTouchesNothing) {
+  std::vector<PageBuf> base;
+  const MemVfs::Image clean = baseStore(&base);
+  std::vector<PageBuf> after;
+  const std::vector<std::uint8_t> wal = v1Log(base, &after);
+  for (const auto& [version, page_size] :
+       {std::pair<std::uint32_t, std::uint32_t>{7, kPageSize},
+        {0, kPageSize},
+        {kWalVersion, 4096}}) {
+    SCOPED_TRACE("version " + std::to_string(version) + ", page size " +
+                 std::to_string(page_size));
+    MemVfs::Image image = clean;
+    image[kMemWal] = wal;
+    WalHeader wh{};
+    std::memcpy(&wh, wal.data(), sizeof(wh));
+    wh.version = version;
+    wh.page_size = page_size;
+    std::memcpy(image[kMemWal].data(), &wh, sizeof(wh));
+    MemVfs vfs(image);
+    try {
+      FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+      ADD_FAILURE() << "opened a log of an unknown format";
+    } catch (const util::StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find("version " + std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(vfs.image() == image);  // db and log untouched
+  }
+}
+
+TEST(WalPager, ShortHeaderIsACrashAndIsDiscarded) {
+  std::vector<PageBuf> base;
+  MemVfs::Image image = baseStore(&base);
+  const WalHeader wh{kWalMagic, kWalVersion, kPageSize, 0, 1};
+  const auto* h = reinterpret_cast<const std::uint8_t*>(&wh);
+  image[kMemWal].assign(h, h + 10);
+  MemVfs vfs(image);
+  FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+  EXPECT_TRUE(pager.recoveryStats().discarded_invalid_wal);
+  EXPECT_FALSE(pager.recoveryStats().wal_replayed);
+  EXPECT_TRUE(pagesOf(pager) == base);
+}
+
+TEST(WalPager, CommitWritesOneCallPerStagedBatch) {
+  MemVfs mem;
+  FaultInjectingVfs vfs(mem);
+  FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+  std::memcpy(pager.pageForWrite(pager.allocate()), "first", 5);
+  pager.flush();  // writes the log header too
+  std::vector<PageId> ids;
+  while (ids.size() + 1 < kWalStageFrames + 80) ids.push_back(pager.allocate());
+  for (PageId id : ids) std::memcpy(pager.pageForWrite(id), &id, sizeof(id));
+  const std::uint64_t ops = vfs.mutatingOps();
+  const std::uint32_t frames = pager.walFrameCount();
+  pager.flush();
+  EXPECT_EQ(pager.walFrameCount() - frames, kWalStageFrames + 80);
+  EXPECT_EQ(vfs.mutatingOps() - ops, 3u);  // two writes, one fsync
+  std::memcpy(pager.pageForWrite(ids[0]), "small", 5);
+  pager.flush();
+  EXPECT_EQ(vfs.mutatingOps() - ops, 5u);  // one write, one fsync
+}
+
+TEST(WalPager, TornMultiWriteCommitRecoversToThePriorCommit) {
+  // 210 fresh pages plus the header page: 211 frames, written in two calls
+  // (128 + 83 frames). Tear each call at a frame boundary and mid-frame.
+  constexpr std::size_t kPages = 210;
+  static_assert(kPages + 1 > kWalStageFrames);
+  static_assert((32 * kWalFrameSize) % 512 == 0, "a frame boundary on a sector");
+  for (const std::uint64_t write : {1u, 2u}) {
+    for (const std::size_t torn : {32 * kWalFrameSize, 32 * kWalFrameSize + 4096}) {
+      SCOPED_TRACE("write " + std::to_string(write) + ", torn after " +
+                   std::to_string(torn) + " bytes");
+      MemVfs mem;
+      FaultInjectingVfs vfs(mem);
+      std::vector<PageBuf> prior;
+      {
+        FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+        std::memcpy(pager.pageForWrite(pager.allocate()), "prior", 5);
+        pager.flush();
+        prior = pagesOf(pager);
+        for (std::size_t i = 0; i < kPages; ++i) {
+          const PageId id = pager.allocate();
+          std::memcpy(pager.pageForWrite(id), &id, sizeof(id));
+        }
+        FaultPlan plan;
+        plan.fail_at_op = vfs.mutatingOps() + write;
+        plan.torn_write = true;
+        plan.torn_bytes = torn;
+        vfs.setPlan(plan);
+        EXPECT_THROW(pager.flush(), InjectedFault);
+      }
+      const MemVfs::Image image = mem.image();
+      // The torn prefix reached the log: the first call's 128 frames (when
+      // the second call tore) plus the torn bytes.
+      const std::uint64_t landed = frameOffset(2 + (write == 2 ? kWalStageFrames : 0));
+      EXPECT_EQ(image.at(kMemWal).size(), landed + torn);
+      RecoveryStats stats;
+      EXPECT_TRUE(recoveredPages(image, &stats) == prior);
+      EXPECT_TRUE(stats.wal_replayed);
+      EXPECT_TRUE(stats.discarded_invalid_wal);
+    }
+  }
 }
 
 }  // namespace

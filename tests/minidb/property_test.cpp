@@ -396,6 +396,30 @@ TEST_P(SqlProperty, JoinMatchesNestedLoopsReference) {
                              })},
                        [](const RefTuple& u) { return cell(u, 1, 0).isNull(); }),
                cols({{0, 0}, {0, 1}}))});
+  // A LEFT JOIN ON conjunct reading only earlier tables decides matching,
+  // not which outer rows survive (t.grp is indexed, so it is also a
+  // candidate access path for t that must be passed over).
+  cases.push_back(
+      {"SELECT t.id, g.gid, g.w FROM t LEFT JOIN g ON t.grp = g.gid AND t.grp < 4",
+       project(refJoin({T, G(true,
+                             [&](const RefTuple& u) {
+                               return t_eq_g(u) &&
+                                      sqlLt(cell(u, 0, 1), Value(std::int64_t{4}));
+                             })},
+                       {}),
+               cols({{0, 0}, {1, 0}, {1, 2}}))});
+  cases.push_back(
+      {"SELECT t.id, g.label, x.xid FROM t JOIN g ON t.grp = g.gid "
+       "LEFT JOIN x ON x.gid = g.gid AND t.score + g.w > 50 AND t.score < 90",
+       project(refJoin({T, G(false, t_eq_g),
+                        X(true,
+                          [&](const RefTuple& u) {
+                            return x_eq_g(u) &&
+                                   cell(u, 0, 2).asReal() + cell(u, 1, 2).asReal() > 50 &&
+                                   sqlLt(cell(u, 0, 2), Value(90.0));
+                          })},
+                       {}),
+               cols({{0, 0}, {1, 1}, {2, 0}}))});
   // 3-table INNER, LEFT and mixed.
   cases.push_back(
       {"SELECT t.id, g.label, x.tag FROM t JOIN g ON t.grp = g.gid "

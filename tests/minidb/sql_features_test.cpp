@@ -68,6 +68,52 @@ TEST_F(SqlFeaturesTest, LeftJoinWhereAppliesAfterExtension) {
   EXPECT_EQ(rs2.rows.size(), 3u);  // null secs fails the comparison
 }
 
+TEST(SqlLeftJoin, OnConjunctOverEarlierTablesDecidesMatchingNotSurvival) {
+  // `a.v > 50` reads only the outer table, but as part of the ON clause it
+  // decides whether b matches; an outer row failing it is null-extended,
+  // never dropped. With and without an index on a.v (which must not become
+  // a's access path either).
+  for (const bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "a.v indexed" : "a.v not indexed");
+    auto db = Database::openMemory();
+    Engine sql(*db);
+    sql.exec("CREATE TABLE a (id INTEGER PRIMARY KEY, v INTEGER)");
+    sql.exec("INSERT INTO a VALUES (1, 10), (2, 60)");
+    sql.exec("CREATE TABLE b (id INTEGER PRIMARY KEY)");
+    sql.exec("INSERT INTO b VALUES (1), (2)");
+    sql.exec("CREATE TABLE c (id INTEGER PRIMARY KEY)");
+    sql.exec("INSERT INTO c VALUES (1), (2)");
+    if (indexed) sql.exec("CREATE INDEX a_by_v ON a (v)");
+
+    const ResultSet two = sql.exec(
+        "SELECT a.id, b.id FROM a LEFT JOIN b ON b.id = a.id AND a.v > 50 "
+        "ORDER BY a.id");
+    ASSERT_EQ(two.rows.size(), 2u);
+    EXPECT_EQ(two.rows[0][0].asInt(), 1);
+    EXPECT_TRUE(two.rows[0][1].isNull());
+    EXPECT_EQ(two.rows[1][0].asInt(), 2);
+    EXPECT_EQ(two.rows[1][1].asInt(), 2);
+
+    // Three tables: c's ON conjunct reads only a and b.
+    const ResultSet three = sql.exec(
+        "SELECT a.id, b.id, c.id FROM a JOIN b ON b.id = a.id "
+        "LEFT JOIN c ON c.id = b.id AND a.v + b.id > 60 ORDER BY a.id");
+    ASSERT_EQ(three.rows.size(), 2u);
+    EXPECT_EQ(three.rows[0][1].asInt(), 1);
+    EXPECT_TRUE(three.rows[0][2].isNull());
+    EXPECT_EQ(three.rows[1][2].asInt(), 2);
+
+    // The conjunct filters at b's level, not under a's scan.
+    std::string plan;
+    for (const Row& row : sql.exec("EXPLAIN SELECT a.id, b.id FROM a LEFT JOIN b "
+                                   "ON b.id = a.id AND a.v > 50")
+                              .rows) {
+      plan += row[0].asText() + "\n";
+    }
+    EXPECT_EQ(plan.find("a_by_v"), std::string::npos) << plan;
+  }
+}
+
 TEST_F(SqlFeaturesTest, LeftJoinWithAggregates) {
   const ResultSet rs = sql_.exec(
       "SELECT m.name, COUNT(r.id) FROM machines m LEFT JOIN runs r "
