@@ -1,15 +1,13 @@
 // Durability ablation: what does the crash-safe commit path cost?
 //
-// With Durability::Full every commit writes before-images to the rollback
-// journal, fsyncs it, overwrites the db pages, fsyncs the db, and
-// invalidates the journal — two fsyncs and roughly 2x the page writes of
-// the legacy in-place path (Durability::None). Durability::Wal appends
-// redo frames and fsyncs once per commit, deferring the page overwrite to
-// a checkpoint. This bench ingests the same synthetic result batches
-// through the dbal prepared-statement hot path in all three modes and
-// reports rows/s, commit latency, and the overhead ratio, at two commit
-// granularities (the paper loads one execution per transaction; small
-// transactions amplify the per-commit fsync cost).
+// Durability::Wal (the crash-safe mode) appends redo frames and fsyncs once
+// per commit, deferring the page overwrite to a checkpoint; the legacy
+// in-place path (Durability::None) rewrites pages with no log and no fsync.
+// This bench ingests the same synthetic result batches through the dbal
+// prepared-statement hot path in both modes and reports rows/s, commit
+// latency, and the overhead ratio, at two commit granularities (the paper
+// loads one execution per transaction; small transactions amplify the
+// per-commit fsync cost).
 //
 // A second sweep measures group commit: N concurrent committers running
 // begin -> INSERT -> commitDeferred under a writer lock but fsyncing
@@ -50,11 +48,7 @@ struct Cell {
 };
 
 const char* modeName(minidb::Durability durability) {
-  switch (durability) {
-    case minidb::Durability::Full: return "full";
-    case minidb::Durability::Wal: return "wal";
-    default: return "none";
-  }
+  return durability == minidb::Durability::Wal ? "wal" : "none";
 }
 
 Cell runIngest(minidb::Durability durability, int batch_rows, int batches) {
@@ -161,16 +155,14 @@ int main() {
               "seconds", "rows/s", "ms/commit");
   for (const auto& shape : shapes) {
     Cell none = runIngest(minidb::Durability::None, shape.batch_rows, shape.batches);
-    Cell full = runIngest(minidb::Durability::Full, shape.batch_rows, shape.batches);
     Cell wal = runIngest(minidb::Durability::Wal, shape.batch_rows, shape.batches);
-    for (const Cell& c : {none, full, wal}) {
+    for (const Cell& c : {none, wal}) {
       std::printf("%-9s %5d x %-3d %10lld %10.3f %12.0f %14.3f\n", c.mode.c_str(),
                   c.batch_rows, c.commits, static_cast<long long>(c.rows), c.seconds,
                   c.rows_per_s(), c.ms_per_commit());
       cells.push_back(c);
     }
-    std::printf("  -> durability overhead: full %.2fx, wal %.2fx slower, batch=%d\n",
-                none.seconds > 0 ? full.seconds / none.seconds : 0.0,
+    std::printf("  -> durability overhead: wal %.2fx slower, batch=%d\n",
                 none.seconds > 0 ? wal.seconds / none.seconds : 0.0,
                 shape.batch_rows);
   }

@@ -9,13 +9,10 @@
 // aggregate throughput as N grows is the shared-read-gate claim (DESIGN.md
 // §5.4) in numbers; p99 shows the queueing tail.
 //
-// A second sweep runs the same point-SELECT loop against a file-backed
-// store while one writer client commits a fat UPDATE in a loop, once under
-// --durability=full and once under --durability=wal. In full mode every
-// commit takes the exclusive gate, so readers stall (BUSY + retry) behind
-// it; in WAL mode readers stream pinned snapshots and never wait for the
-// committing writer (DESIGN.md §5.7). The reader p99 gap between the two
-// rows is the point of the WAL.
+// A second sweep runs the same point-SELECT loop against a file-backed WAL
+// store while one writer client commits a fat UPDATE in a loop. Readers
+// stream pinned snapshots and never wait for the committing writer
+// (DESIGN.md §5.7), so their p99 stays near the idle p99.
 //
 // An export_execution row runs ptdf::exportExecution of a 16-process Frost
 // IRS run over the wire (`ptexport --connect`) in a loop, counting exported
@@ -197,13 +194,10 @@ Cell runExportExecution(const server::PtServer& srv, const std::string& url) {
 }
 
 /// Readers hammering point SELECTs while one writer loops committed fat
-/// UPDATEs, on a file-backed store in the given durability mode. Reader
-/// latencies include any BUSY-retry stalls — that is the measurement.
-Cell runReadDuringCommit(minidb::Durability durability, const std::string& db_path,
-                         int readers) {
-  minidb::OpenOptions options;
-  options.durability = durability;
-  auto db = minidb::Database::open(db_path, options);
+/// UPDATEs, on a file-backed WAL store. Reader latencies include any
+/// BUSY-retry stalls — that is the measurement.
+Cell runReadDuringCommit(const std::string& db_path, int readers) {
+  auto db = minidb::Database::open(db_path);
   {
     // Seed embedded (one fat transaction) — the wire path is autocommit
     // only and would pay a fsync per row.
@@ -277,8 +271,7 @@ Cell runReadDuringCommit(minidb::Durability durability, const std::string& db_pa
   std::vector<double> all;
   for (auto& v : latencies) all.insert(all.end(), v.begin(), v.end());
   Cell cell;
-  cell.phase = std::string("read_during_commit_") +
-               (durability == minidb::Durability::Wal ? "wal" : "full");
+  cell.phase = "read_during_commit_wal";
   cell.clients = readers;
   cell.requests = total.load();
   cell.seconds = seconds;
@@ -340,12 +333,9 @@ int main() {
   cells.push_back(runScan(srv, url));
   cells.push_back(runExportExecution(srv, url));
   {
-    // Snapshot reads vs the exclusive gate, under a committing writer.
+    // Snapshot reads under a committing writer.
     util::TempDir dir("pt_bench_srv");
-    cells.push_back(runReadDuringCommit(minidb::Durability::Full,
-                                        dir.file("full.db").string(), 4));
-    cells.push_back(runReadDuringCommit(minidb::Durability::Wal,
-                                        dir.file("wal.db").string(), 4));
+    cells.push_back(runReadDuringCommit(dir.file("wal.db").string(), 4));
   }
   for (const Cell& c : cells) {
     std::printf("%-24s %8d %10lld %10.3f %12.0f %10.1f %10.1f %10.4f\n",

@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
 # server_kill_test.sh — SIGKILL a live ptserverd mid-commit, restart, verify
-# recovery. Runs the whole sweep twice: once in rollback-journal mode
-# (restart rolls the hot journal back) and once in WAL mode with a small
-# autocheckpoint (restart replays the committed WAL prefix or discards a
-# torn tail; the low threshold makes some kills land mid-checkpoint).
+# recovery. The daemon runs in its default WAL mode with a small
+# autocheckpoint: the restart replays the committed WAL prefix or discards a
+# torn tail, and the low threshold makes some kills land mid-checkpoint.
 #
 # Companion to crash_kill_test.sh: that script crashes a single-process
 # loader; this one crashes the daemon while remote clients are writing
 # through the wire protocol (ptquery --connect), so the whole
-# client → frame → session → gate → engine → pager → journal path is live
-# when the process dies. PT_DEBUG_CRASH_AT=<n> SIGKILLs the daemon at the
-# n-th disk write/sync/truncate — no destructor, drain, or flush runs.
-# A plain restart must then roll the hot journal back, report it, and serve
-# a consistent store to new clients.
+# client → frame → session → gate → engine → pager → WAL path is live when
+# the process dies. PT_DEBUG_CRASH_AT=<n> SIGKILLs the daemon at the n-th
+# disk write/sync/truncate — no destructor, drain, or flush runs. A plain
+# restart must then recover the stale WAL, report it, and serve a
+# consistent store to new clients.
 #
 # Usage: server_kill_test.sh <cli-bin-dir>
 set -u
@@ -75,31 +74,22 @@ for i in 1 2 3; do
 done
 kill -TERM "$SRV_PID"
 stop_wait 0
-[ -s "$DB.journal" ] && fail "clean SIGTERM drain left a hot journal"
+[ -s "$DB.wal" ] && fail "clean SIGTERM drain left a stale WAL"
 grep -q "drained, closing store" "$WORK/srv.out" || fail "drain message missing"
 
-# One full crash sweep in durability mode $1 (full | wal). Crashes at a
-# spread of disk-operation indices: early (log being written), mid (page
-# overwrite / WAL append), late (commit point / autocheckpoint), and
+# The crash sweep. Crashes at a spread of disk-operation indices: early
+# (log header), mid (WAL append), late (commit point / autocheckpoint), and
 # past-the-end (no crash at all — exercises the survive + drain branch).
-# In WAL mode the tiny autocheckpoint makes commits fold back into the db
-# file every few inserts, so late crash points land mid-checkpoint.
-run_sweep() {
-  local mode="$1"
-  local flags=()
-  local artifact_suffix=journal
-  if [ "$mode" = wal ]; then
-    flags=(--durability=wal --wal-autocheckpoint 4)
-    artifact_suffix=wal
-  fi
-  hot_logs=0
-
+# The tiny autocheckpoint makes commits fold back into the db file every few
+# inserts, so late crash points land mid-checkpoint.
+flags=(--wal-autocheckpoint 4)
+hot_logs=0
 for op in 1 2 3 5 8 12 20 28 36 100000; do
-  TRIAL="$WORK/trial_${mode}_$op.db"
+  TRIAL="$WORK/trial_$op.db"
   cp "$DB" "$TRIAL"
 
   PT_DEBUG_CRASH_AT=$op start_server "$TRIAL" "${flags[@]}" \
-    || fail "$mode trial $op: no port line"
+    || fail "trial $op: no port line"
 
   # Hammer inserts until one fails (daemon SIGKILLed mid-commit) or we run
   # out of budget (crash point beyond the workload).
@@ -118,55 +108,47 @@ for op in 1 2 3 5 8 12 20 28 36 100000; do
   stop_wait 0 137
 
   log_hot=0
-  if [ -s "$TRIAL.$artifact_suffix" ]; then
+  if [ -s "$TRIAL.wal" ]; then
     log_hot=1
     hot_logs=$((hot_logs + 1))
   fi
 
   # Restart the daemon on the crashed store: recovery happens at open, is
   # reported on stderr, and the store must serve new clients immediately.
-  start_server "$TRIAL" "${flags[@]}" || fail "$mode trial $op: restart did not come up"
+  start_server "$TRIAL" "${flags[@]}" || fail "trial $op: restart did not come up"
   if [ "$log_hot" -eq 1 ]; then
     grep -q "recovered:" "$WORK/srv.err" \
-      || fail "$mode trial $op: restart over a stale $artifact_suffix did not report recovery"
+      || fail "trial $op: restart over a stale WAL did not report recovery"
   fi
-  [ -s "$TRIAL.journal" ] && fail "$mode trial $op: journal still hot after restart"
 
   # Autocommit inserts are atomic: the table is exactly a prefix of the
   # workload. No holes (COUNT == MAX(id)), no torn values, and the one
   # insert whose reply the kill cut off may or may not have committed.
-  count="$(scalar 'SELECT COUNT(*) FROM t')" || fail "$mode trial $op: count query"
-  maxid="$(scalar 'SELECT MAX(id) FROM t')" || fail "$mode trial $op: max query"
-  [ "$count" = "$maxid" ] || fail "$mode trial $op: holes in id space ($count != $maxid)"
+  count="$(scalar 'SELECT COUNT(*) FROM t')" || fail "trial $op: count query"
+  maxid="$(scalar 'SELECT MAX(id) FROM t')" || fail "trial $op: max query"
+  [ "$count" = "$maxid" ] || fail "trial $op: holes in id space ($count != $maxid)"
   torn="$(scalar 'SELECT COUNT(*) FROM t WHERE id > 3 AND v <> 100')" \
-    || fail "$mode trial $op: torn-value query"
-  [ "$torn" = "0" ] || fail "$mode trial $op: $torn torn row(s) after recovery"
-  [ "$count" -ge $((3 + wrote)) ] || fail "$mode trial $op: lost acknowledged insert(s)"
-  [ "$count" -le $((3 + wrote + 1)) ] || fail "$mode trial $op: phantom insert(s)"
+    || fail "trial $op: torn-value query"
+  [ "$torn" = "0" ] || fail "trial $op: $torn torn row(s) after recovery"
+  [ "$count" -ge $((3 + wrote)) ] || fail "trial $op: lost acknowledged insert(s)"
+  [ "$count" -le $((3 + wrote + 1)) ] || fail "trial $op: phantom insert(s)"
 
   # The recovered store must take new writes through the daemon.
   sql "INSERT INTO t (v) VALUES (200)" >/dev/null \
-    || fail "$mode trial $op: post-recovery insert"
+    || fail "trial $op: post-recovery insert"
   after="$(scalar 'SELECT COUNT(*) FROM t')"
-  [ "$after" = "$((count + 1))" ] || fail "$mode trial $op: post-recovery insert not visible"
+  [ "$after" = "$((count + 1))" ] || fail "trial $op: post-recovery insert not visible"
 
   kill -TERM "$SRV_PID"
   stop_wait 0
   if [ -e "$TRIAL.wal" ] && [ -s "$TRIAL.wal" ]; then
-    fail "$mode trial $op: clean drain left a stale WAL"
+    fail "trial $op: clean drain left a stale WAL"
   fi
 
   # Offline integrity pass over the same file the daemon just served.
   "$BIN/ptquery" "$TRIAL" sql "SELECT COUNT(*) FROM t" >/dev/null \
-    || fail "$mode trial $op: store unreadable offline"
+    || fail "trial $op: store unreadable offline"
 done
 
-  [ "$hot_logs" -ge 1 ] \
-    || fail "$mode: no crash point left a stale $artifact_suffix; matrix not exercised"
-  echo "OK ($mode): $hot_logs stale $artifact_suffix file(s) recovered through restarts"
-}
-
-run_sweep full
-run_sweep wal
-
-echo "OK: ptserverd crash/restart sweep passed in journal and WAL modes"
+[ "$hot_logs" -ge 1 ] || fail "no crash point left a stale WAL; matrix not exercised"
+echo "OK: $hot_logs stale WAL file(s) recovered through ptserverd restarts"

@@ -1,17 +1,16 @@
 // ptdfload — load PTdf files into a PerfTrack data store.
 //
-// Usage: ptdfload [--durability=full|wal|none] [--wal-autocheckpoint <n>]
+// Usage: ptdfload [--durability=wal|none] [--wal-autocheckpoint <n>]
 //                 <database|:memory:> <file.ptdf>...
 // Initializes the store (schema + base types) if needed, loads each file in
 // one transaction, and prints per-file and final store statistics.
 //
-// --durability=full (default) commits through the rollback journal with
-// fsync ordering, so a crash mid-load rolls back to the last loaded file on
-// the next open; --durability=wal commits through a write-ahead log
-// (checkpointed every --wal-autocheckpoint frames, default 512); and
-// --durability=none is the fast, crash-unsafe legacy path. If the previous
-// process died mid-commit, opening the store rolls the hot journal back (or
-// replays the committed WAL prefix) and a "recovered" line reports it.
+// --durability=wal (default) commits through a write-ahead log
+// (checkpointed every --wal-autocheckpoint frames, default 512), so a crash
+// mid-load leaves the store at the last loaded file; --durability=none is
+// the fast, crash-unsafe legacy path. Any other flag exits 2 with usage. If
+// the previous process died before its checkpoint, opening the store
+// replays the committed WAL prefix and a "recovered" line reports it.
 //
 // PT_DEBUG_CRASH_AT=<n> (testing hook, used by scripts/crash_kill_test.sh):
 // SIGKILL the process at the n-th disk write/sync/truncate, leaving a
@@ -29,13 +28,18 @@
 
 int main(int argc, char** argv) {
   using namespace perftrack;
+  const auto usage = [&] {
+    std::fprintf(stderr,
+                 "usage: %s [--durability=wal|none] [--wal-autocheckpoint n] "
+                 "<database|:memory:> <file.ptdf>...\n",
+                 argv[0]);
+    return 2;
+  };
   minidb::OpenOptions options;
   int arg = 1;
   while (arg < argc && std::string(argv[arg]).rfind("--", 0) == 0) {
     const std::string flag = argv[arg];
-    if (flag == "--durability=full") {
-      options.durability = minidb::Durability::Full;
-    } else if (flag == "--durability=wal") {
+    if (flag == "--durability=wal") {
       options.durability = minidb::Durability::Wal;
     } else if (flag == "--durability=none") {
       options.durability = minidb::Durability::None;
@@ -44,17 +48,11 @@ int main(int argc, char** argv) {
           std::strtoul(argv[++arg], nullptr, 10));
     } else {
       std::fprintf(stderr, "ptdfload: unknown flag '%s'\n", flag.c_str());
-      return 2;
+      return usage();
     }
     ++arg;
   }
-  if (argc - arg < 2) {
-    std::fprintf(stderr,
-                 "usage: %s [--durability=full|wal|none] [--wal-autocheckpoint n] "
-                 "<database|:memory:> <file.ptdf>...\n",
-                 argv[0]);
-    return 2;
-  }
+  if (argc - arg < 2) return usage();
   if (const char* crash_at = std::getenv("PT_DEBUG_CRASH_AT")) {
     // Deterministic crash harness: die with SIGKILL at the n-th disk op.
     static minidb::FaultInjectingVfs fault_vfs(minidb::PosixVfs::instance());
@@ -67,11 +65,6 @@ int main(int argc, char** argv) {
   try {
     auto conn = dbal::Connection::open(argv[arg], options);
     const auto& recovery = conn->recoveryStats();
-    if (recovery.recovered) {
-      std::printf("recovered: rolled back %u page(s) from a hot journal "
-                  "(previous load crashed mid-commit)\n",
-                  recovery.pages_restored);
-    }
     if (recovery.wal_replayed) {
       std::printf("recovered: replayed %u page(s) from a stale WAL "
                   "(previous load exited before its checkpoint)\n",

@@ -14,12 +14,12 @@
 //     --max-conn <n>          connection cap; excess gets a BUSY frame
 //     --idle-timeout <ms>     reap connections idle this long (0 disables)
 //     --lock-timeout <ms>     gate acquisition budget before BUSY
-//     --durability=full|wal|none
-//                             storage durability mode (default full). wal
-//                             commits through a write-ahead log: SELECTs
-//                             read pinned snapshots while writers commit,
-//                             and concurrent commits share fsyncs (group
-//                             commit)
+//     --durability=wal|none   storage durability mode (default wal): wal
+//                             commits through a write-ahead log, and
+//                             concurrent commits share fsyncs (group
+//                             commit); none rewrites pages in place with no
+//                             log or fsync (crash-unsafe). Either way SELECTs
+//                             read pinned snapshots while writers commit
 //     --wal-autocheckpoint <n>
 //                             fold the WAL back into the db file once it
 //                             holds n frames (default 512; 0 disables)
@@ -88,7 +88,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--listen host:port] [--unix path] [--workers n]\n"
                "       [--max-conn n] [--idle-timeout ms] [--lock-timeout ms]\n"
-               "       [--durability=full|wal|none] [--wal-autocheckpoint n]\n"
+               "       [--durability=wal|none] [--wal-autocheckpoint n]\n"
                "       [--no-remote-shutdown]\n"
                "       [--metrics-port n] [--slow-query-ms ms]\n"
                "       [--<option> value] <database|:memory:>\n",
@@ -142,8 +142,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--lock-timeout") {
       config.limits.lock_timeout =
           std::chrono::milliseconds(std::atol(nextValue("--lock-timeout")));
-    } else if (flag == "--durability=full") {
-      options.durability = minidb::Durability::Full;
     } else if (flag == "--durability=wal") {
       options.durability = minidb::Durability::Wal;
     } else if (flag == "--durability=none") {
@@ -202,12 +200,6 @@ int main(int argc, char** argv) {
     auto db = db_path == ":memory:" ? minidb::Database::openMemory()
                                     : minidb::Database::open(db_path, options);
     const auto& recovery = db->recoveryStats();
-    if (recovery.recovered) {
-      std::fprintf(stderr,
-                   "ptserverd: recovered: rolled back %u page(s) from a hot "
-                   "journal (previous process crashed mid-commit)\n",
-                   recovery.pages_restored);
-    }
     if (recovery.wal_replayed) {
       std::fprintf(stderr,
                    "ptserverd: recovered: replayed %u page(s) from a stale "

@@ -110,8 +110,8 @@ class Connection {
   ///   "pt://host:port"      remote ptserverd session over TCP
   ///   "pt://unix:/sock"     remote ptserverd session over a Unix socket
   ///   anything else         file-backed store (created when missing)
-  /// File-backed stores default to full durability (rollback journal +
-  /// fsync; see DESIGN.md §5.2).
+  /// File-backed stores default to WAL durability (write-ahead log +
+  /// group-commit fsync; see DESIGN.md §5.2).
   static std::unique_ptr<Connection> open(const std::string& path);
 
   /// Opens with explicit storage options (durability mode, VFS override);
@@ -148,7 +148,7 @@ class Connection {
 
   // --- transactions ---------------------------------------------------------
   /// Remote sessions are autocommit-only (the server wraps each mutating
-  /// statement in its own journal-protected commit); begin() there throws.
+  /// statement in its own atomic commit); begin() there throws.
   virtual void begin() = 0;
   virtual void commit() = 0;
   virtual void rollback() = 0;
@@ -168,7 +168,7 @@ class Connection {
   /// For remote sessions this is one STAT round trip.
   virtual std::uint64_t sizeBytes() const = 0;
 
-  /// Hot-journal recovery outcome of open (all-false for clean opens,
+  /// WAL recovery outcome of open (all-false for clean opens,
   /// in-memory stores, and remote sessions — the server recovers its own
   /// store when it starts).
   virtual const minidb::RecoveryStats& recoveryStats() const = 0;

@@ -610,7 +610,7 @@ ServerStat RemoteConnection::serverStat() {
     s.uptime_ms = r.u64();
     s.open_cursors = r.u32();
     s.db_file_bytes = r.u64();
-    s.journal_bytes = r.u64();
+    (void)r.u64();  // reserved slot (the retired journal size)
     s.busy_rejections = r.u64();
     // Second append-only extension (WAL-capable servers).
     if (!r.atEnd()) s.wal_bytes = r.u64();

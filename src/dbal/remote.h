@@ -7,15 +7,16 @@
 // base class:
 //
 //   * autocommit only: begin()/commit()/rollback() throw (the server wraps
-//     each mutating statement in its own journal-protected commit);
+//     each mutating statement in its own atomic commit);
 //   * statements are cached server-side, keyed client-side by SQL text;
 //     the cache introspection surface reports the remote handle count;
 //   * one statement is one round trip: EXECUTE carries the parameters and
 //     the reply carries the first batch of rows, so a result that fits one
 //     batch needs no FETCH and leaves no server-side cursor behind;
 //   * larger SELECT results stream bounded row batches (FETCH) from a
-//     server-side cursor holding a shared lock on the store, so results of
-//     any size arrive in constant client memory.
+//     server-side cursor holding a shared gate hold and a pinned snapshot
+//     of the store, so results of any size arrive in constant client
+//     memory and never block (or see) a concurrent writer's commits.
 //
 // Like the local backend, a statement whose server-side cursor is still
 // streaming is never re-entered: exec()/execPrepared()/query() on a busy
@@ -59,7 +60,6 @@ struct ServerStat {
   std::uint64_t uptime_ms = 0;
   std::uint32_t open_cursors = 0;
   std::uint64_t db_file_bytes = 0;
-  std::uint64_t journal_bytes = 0;
   std::uint64_t busy_rejections = 0;
   std::uint64_t wal_bytes = 0;  // 0 from pre-WAL servers
 };

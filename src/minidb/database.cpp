@@ -24,6 +24,12 @@ std::unique_ptr<Database> Database::openMemory() {
 
 Database::Database(std::unique_ptr<Pager> pager) : pager_(std::move(pager)) {
   catalog_.load(*pager_);
+  pager_->setPublishHook([this](std::uint64_t seq) { invidx_.onPublish(seq); });
+}
+
+Database::~Database() {
+  // The pager outlives the manager (it may still publish on close).
+  pager_->setPublishHook(nullptr);
 }
 
 const TableDef& Database::tableOrThrow(const std::string& name) const {

@@ -28,7 +28,7 @@ namespace perftrack::minidb {
 
 /// Storage-layer open options (durability mode, VFS override).
 struct OpenOptions {
-  Durability durability = Durability::Full;
+  Durability durability = Durability::Wal;
   /// All file operations route through this VFS when set (borrowed, must
   /// outlive the Database). Defaults to the real filesystem; the crash
   /// tests pass a FaultInjectingVfs here.
@@ -52,7 +52,7 @@ class Database {
    public:
     CursorPin() = default;
     explicit CursorPin(const Database& db)
-        : db_(&db), snapshot_(db.pager_->snapshotScopeActive()) {
+        : db_(&db), snapshot_(db.pager_->snapshotScopeSeq() != 0) {
       ++(snapshot_ ? db_->snapshot_cursors_ : db_->open_cursors_);
     }
     CursorPin(CursorPin&& o) noexcept : db_(o.db_), snapshot_(o.snapshot_) {
@@ -133,7 +133,7 @@ class Database {
     std::optional<BTree::Iterator> it_;
   };
 
-  /// Opens (or creates) a file-backed database with full durability.
+  /// Opens (or creates) a file-backed database in WAL (crash-safe) mode.
   static std::unique_ptr<Database> open(const std::string& path);
   /// Opens (or creates) a file-backed database with explicit options.
   static std::unique_ptr<Database> open(const std::string& path,
@@ -142,6 +142,7 @@ class Database {
   static std::unique_ptr<Database> openMemory();
 
   explicit Database(std::unique_ptr<Pager> pager);
+  ~Database();
 
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
@@ -223,7 +224,8 @@ class Database {
   std::size_t snapshotCursorCount() const { return snapshot_cursors_; }
 
   // --- snapshots ------------------------------------------------------------
-  /// Pins the latest committed version for lock-free reads. Install a
+  /// Pins the latest committed version for lock-free reads, in every
+  /// durability mode (None and in-memory stores included). Install a
   /// Pager::SnapshotScope built from the returned snapshot around every read
   /// (the SQL layer does this when a cursor is opened with a snapshot).
   /// Snapshots must not be carried across DDL/VACUUM — the server's gate
@@ -268,7 +270,7 @@ class Database {
   /// Persists all dirty pages (implicit on destruction for file backends).
   void flush() { pager_->flush(); }
 
-  /// What hot-journal recovery (if any) happened when the store was opened.
+  /// What WAL recovery (if any) happened when the store was opened.
   const RecoveryStats& recoveryStats() const { return pager_->recoveryStats(); }
 
   /// Logical database size in bytes (Table 1 "DB size increase" metric).
@@ -277,17 +279,15 @@ class Database {
   /// On-disk db file size in bytes (0 for in-memory backends).
   std::uint64_t fileSizeBytes() const { return pager_->fileSizeBytes(); }
 
-  /// Size of the sidecar rollback journal, or 0 when absent/in-memory.
-  std::uint64_t journalSizeBytes() const { return pager_->journalSizeBytes(); }
-
   /// Bytes of valid write-ahead log, or 0 when absent/not in WAL mode.
   std::uint64_t walSizeBytes() const { return pager_->walSizeBytes(); }
 
   Pager& pager() { return *pager_; }
 
   /// Inverted-index manager: posting-list indexes over this database's
-  /// tables, rebuilt lazily when the schema epoch or a table's DML version
-  /// moves (insertRow/eraseRow/updateRow notify it; rollback/DDL/VACUUM are
+  /// tables, versioned by commit so snapshot readers and the working state
+  /// each find a build that matches what they read (insertRow/eraseRow/
+  /// updateRow and every pager publish notify it; rollback/DDL/VACUUM are
   /// covered by the epoch). See minidb/invidx/manager.h.
   invidx::Manager& invidx() { return invidx_; }
 

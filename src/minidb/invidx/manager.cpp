@@ -41,44 +41,88 @@ PostingList sortedPosting(std::vector<std::uint64_t>& ids) {
 
 }  // namespace
 
-template <typename T, typename BuildFn>
-std::shared_ptr<const T> Manager::getOrBuild(const std::string& table,
-                                             const std::string& key,
-                                             BuildFn build) {
-  // Snapshot readers see a pinned committed version; the index reflects
-  // working state, so the fast path must decline.
-  if (db_->pager().snapshotScopeActive()) {
-    counters().fallbacks.inc();
-    return nullptr;
-  }
-  const std::uint64_t epoch = db_->schemaEpoch();
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t version = versions_[table];
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    Entry& e = it->second;
-    if (e.epoch == epoch && e.version == version) {
-      if (e.index == nullptr) {
-        counters().fallbacks.inc();
-        return nullptr;
-      }
-      return std::static_pointer_cast<const T>(e.index);
+void Manager::retire(const TableState& t, std::vector<Entry>& entries,
+                     std::uint64_t epoch, std::uint64_t oldest_seq) {
+  std::erase_if(entries, [&](const Entry& e) {
+    if (e.epoch == epoch && (e.version == t.version || e.hi > oldest_seq)) {
+      return false;
     }
-    // Stale: retire its footprint from the gauges before rebuilding.
     if (e.index != nullptr) {
       counters().lists.add(-static_cast<std::int64_t>(e.index->listCount()));
       counters().bytes.add(-static_cast<std::int64_t>(e.index->byteSize()));
     }
     counters().invalidations.inc();
-    cache_.erase(it);
+    return true;
+  });
+}
+
+template <typename T, typename BuildFn>
+std::shared_ptr<const T> Manager::getOrBuild(const std::string& table,
+                                             const std::string& key,
+                                             BuildFn build) {
+  const std::uint64_t seq = db_->pager().snapshotScopeSeq();  // 0 = working state
+  const std::uint64_t epoch = db_->schemaEpoch();
+  // The first entry that holds this reader's view; a negative entry counts
+  // as a fallback.
+  const auto find = [&](const TableState& t,
+                        const std::vector<Entry>& entries) -> const Entry* {
+    for (const Entry& e : entries) {
+      if (e.epoch != epoch) continue;
+      if (seq == 0 ? e.version == t.version : e.lo <= seq && seq < e.hi) return &e;
+    }
+    return nullptr;
+  };
+  const auto answer = [](const Entry& e) -> std::shared_ptr<const T> {
+    if (e.index == nullptr) counters().fallbacks.inc();
+    return std::static_pointer_cast<const T>(e.index);
+  };
+
+  std::uint64_t version = 0;
+  bool dirty = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    TableState& t = tables_[table];
+    if (const Entry* e = find(t, t.entries[key])) return answer(*e);
+    version = t.version;
+    dirty = t.dirty;
   }
+
+  // Build outside the lock: a snapshot reader scans through its own
+  // SnapshotScope, so concurrent commits neither block nor disturb it.
   const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<const T> built = build();
+  const double build_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+
+  const std::uint64_t oldest = db_->pager().oldestVisibleSeq();
+  std::lock_guard<std::mutex> lock(mu_);
+  TableState& t = tables_[table];
+  std::vector<Entry>& entries = t.entries[key];
+  if (const Entry* e = find(t, entries)) return answer(*e);  // a racing build won
   Entry entry;
   entry.epoch = epoch;
-  entry.version = version;
   entry.index = built;
-  cache_.emplace(key, std::move(entry));
+  if (seq == 0) {
+    entry.version = version;
+    // Built from working state that equals the latest commit: snapshot
+    // readers from that commit on may share it.
+    if (!dirty && t.version == version) {
+      entry.lo = t.changed_at;
+      entry.hi = kOpen;
+    }
+  } else if (t.changed_at <= seq) {
+    // No commit since `seq` changed the table: the build holds until one does.
+    entry.lo = t.changed_at;
+    entry.hi = kOpen;
+    if (!t.dirty) entry.version = t.version;  // working state equals it too
+  } else {
+    // A later commit changed the table; only `seq` itself is known to match.
+    entry.lo = seq;
+    entry.hi = seq + 1;
+  }
+  retire(t, entries, epoch, oldest);
+  entries.push_back(std::move(entry));
   if (built == nullptr) {
     counters().fallbacks.inc();
     return nullptr;
@@ -87,10 +131,7 @@ std::shared_ptr<const T> Manager::getOrBuild(const std::string& table,
   counters().build_rows.inc(built->rows());
   counters().lists.add(static_cast<std::int64_t>(built->listCount()));
   counters().bytes.add(static_cast<std::int64_t>(built->byteSize()));
-  counters().build_ms.observe(
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                start)
-          .count());
+  counters().build_ms.observe(build_ms);
   return built;
 }
 
@@ -292,7 +333,29 @@ std::shared_ptr<const AttrIndex> Manager::attrIndex(const std::string& table,
 
 void Manager::onTableMutated(const std::string& table) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++versions_[table];
+  TableState& t = tables_[table];
+  ++t.version;
+  if (!t.dirty) {
+    t.dirty = true;
+    dirty_.push_back(&t);
+  }
+}
+
+void Manager::onPublish(std::uint64_t seq) {
+  const std::uint64_t epoch = db_->schemaEpoch();
+  const std::uint64_t oldest = db_->pager().oldestVisibleSeq();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (TableState* t : dirty_) {
+    t->dirty = false;
+    t->changed_at = seq;
+    for (auto& [key, entries] : t->entries) {
+      for (Entry& e : entries) {
+        if (e.hi == kOpen) e.hi = seq;
+      }
+      retire(*t, entries, epoch, oldest);
+    }
+  }
+  dirty_.clear();
 }
 
 }  // namespace perftrack::minidb::invidx

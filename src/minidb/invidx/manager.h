@@ -1,22 +1,33 @@
 // minidb inverted-index manager: posting-list indexes derived from heap
 // scans, cached per (table, columns) and kept consistent with the store.
 //
-// Every index is an immutable snapshot of one table's working state,
+// Every index is an immutable build over one version of one table,
 // published behind a shared_ptr: readers that grabbed an index keep a
-// consistent view even if a later mutation triggers a rebuild. Validity is
-// cheap to check — an index is stale when either the database's schema
-// epoch moved (DDL, VACUUM, ROLLBACK all bump it) or the table's DML
-// version moved (Database::insertRow/eraseRow/updateRow call
-// onTableMutated()). Stale entries are rebuilt lazily on next access.
+// consistent view even if a later mutation triggers a rebuild. A key may
+// hold several versions at once, one per table version some reader can
+// still see. Each cache entry records when it is valid:
+//   * for working-state readers (no SnapshotScope installed): the schema
+//     epoch and the table's DML version it was built at. DDL, VACUUM and
+//     ROLLBACK bump the epoch; Database::insertRow/eraseRow/updateRow call
+//     onTableMutated(), which bumps the table's version;
+//   * for snapshot readers: the range [lo, hi) of pager commit seqs over
+//     which the table is unchanged. Just before every commit is published,
+//     the pager calls onPublish(seq), which ends the open range of each
+//     table mutated since the previous commit at that seq. A reader at seq
+//     S uses the entry whose range holds S, or builds one through its own
+//     SnapshotScope.
+// An entry built from working state with no unpublished change to its
+// table also gets an open seq range, and an open-range entry of a table
+// with no unpublished change also serves working-state readers, so an
+// in-process query and a server snapshot read share one build. An entry
+// is retired once no working-state reader can match it and its range ends
+// at or below the oldest seq any pinned or future snapshot can hold.
 //
 // Accessors return nullptr instead of an index whenever the fast path must
-// not be trusted:
-//   * the calling thread reads through a pager snapshot (WAL snapshot
-//     reads) — the index reflects working state, not the pinned version;
-//   * the table/columns don't exist or a column holds values outside the
-//     encodable domain (non-integer ids, negative ids, non-text names).
-// Callers fall back to the B-tree/SQL path; pt_invidx_fallbacks_total
-// counts how often.
+// not be trusted: the table/columns don't exist or a column holds values
+// outside the encodable domain (non-integer ids, negative ids, non-text
+// names). Callers fall back to the B-tree/SQL path;
+// pt_invidx_fallbacks_total counts how often.
 #pragma once
 
 #include <cstdint>
@@ -176,29 +187,51 @@ class Manager {
                                              const std::string& name_col,
                                              const std::string& value_col);
 
-  /// DML hook (Database::insertRow/eraseRow/updateRow): invalidates every
-  /// cached index over `table`.
+  /// DML hook (Database::insertRow/eraseRow/updateRow), once per row: bumps
+  /// the table's version and marks it changed since the last commit. O(1).
   void onTableMutated(const std::string& table);
 
+  /// Commit hook (Pager publish hook), writer side, just before the commit
+  /// with sequence number `seq` becomes visible to new snapshots: ends the
+  /// open seq range of every table mutated since the previous commit and
+  /// retires their dead entries. Work is proportional to those tables.
+  void onPublish(std::uint64_t seq);
+
  private:
+  static constexpr std::uint64_t kOpen = UINT64_MAX;  // range still open
+  static constexpr std::uint64_t kNoVersion = UINT64_MAX;
+
   struct Entry {
     std::uint64_t epoch = 0;
-    std::uint64_t version = 0;
+    std::uint64_t version = kNoVersion;  // working-state rule
+    std::uint64_t lo = 0, hi = 0;        // snapshot rule: seqs [lo, hi)
     std::shared_ptr<const IndexBase> index;  // null = negative cache
   };
 
-  /// Looks up `key`; when stale/absent, runs `build` (returns null on
-  /// unbuildable input, which is cached too so broken shapes don't rescan
-  /// every call). Returns nullptr when the calling thread reads through a
-  /// pager snapshot.
+  struct TableState {
+    std::uint64_t version = 0;     // bumped once per mutated row
+    std::uint64_t changed_at = 0;  // seq of the last commit that changed it
+    bool dirty = false;            // mutated since the last commit
+    std::unordered_map<std::string, std::vector<Entry>> entries;  // by key
+  };
+
+  /// Looks up `key` for the calling thread's view (its SnapshotScope, or
+  /// working state); when no entry holds it, runs `build` outside the lock
+  /// (returns null on unbuildable input, which is cached too so broken
+  /// shapes don't rescan every call).
   template <typename T, typename BuildFn>
   std::shared_ptr<const T> getOrBuild(const std::string& table,
                                       const std::string& key, BuildFn build);
 
+  /// Drops `entries` no reader can match any more (stale epoch, or no
+  /// working-state match and a range ending at or below `oldest_seq`).
+  void retire(const TableState& t, std::vector<Entry>& entries,
+              std::uint64_t epoch, std::uint64_t oldest_seq);
+
   Database* db_;
   std::mutex mu_;
-  std::unordered_map<std::string, std::uint64_t> versions_;
-  std::unordered_map<std::string, Entry> cache_;
+  std::unordered_map<std::string, TableState> tables_;
+  std::vector<TableState*> dirty_;  // tables with dirty set (stable pointers)
 };
 
 }  // namespace perftrack::minidb::invidx

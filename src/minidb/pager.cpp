@@ -26,7 +26,6 @@ struct PagerCounters {
   obs::Counter& pages_freed;
   obs::Counter& pages_loaded;
   obs::Counter& disk_page_writes;
-  obs::Counter& journal_fsyncs;
   obs::Counter& db_fsyncs;
   obs::Counter& commits;
   obs::Histogram& commit_ms;
@@ -47,7 +46,6 @@ PagerCounters& pagerCounters() {
       reg.counter("pt_pager_pages_freed_total"),
       reg.counter("pt_pager_pages_loaded_total"),
       reg.counter("pt_pager_disk_page_writes_total"),
-      reg.counter("pt_pager_journal_fsyncs_total"),
       reg.counter("pt_pager_db_fsyncs_total"),
       reg.counter("pt_pager_commits_total"),
       reg.histogram("pt_pager_commit_ms"),
@@ -73,10 +71,6 @@ std::uint64_t fnv1aSeed(std::uint64_t h, const void* data, std::size_t n) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  return fnv1aSeed(14695981039346656037ULL, data, n);
 }
 
 /// First link of a WAL checksum chain: the offset basis mixed with the salt,
@@ -147,8 +141,6 @@ std::uint64_t walChain(std::uint64_t chain, std::uint32_t page_id,
   return h ^ (h >> 32);
 }
 
-constexpr std::size_t kJournalRecordSize = sizeof(std::uint32_t) + kPageSize;
-
 }  // namespace
 
 // --- snapshots ---------------------------------------------------------------
@@ -218,7 +210,15 @@ const Pager::PageTable* Pager::activeScopeTable() const {
   return nullptr;
 }
 
-bool Pager::snapshotScopeActive() const { return activeScopeTable() != nullptr; }
+std::uint64_t Pager::snapshotScopeSeq() const {
+  const PageTable* t = activeScopeTable();
+  return t != nullptr ? t->seq : 0;
+}
+
+std::uint64_t Pager::oldestVisibleSeq() const {
+  std::lock_guard<std::mutex> lk(snap_mu_);
+  return oldestVisibleSeqLocked();
+}
 
 Pager::ReadSnapshot Pager::beginSnapshot() const {
   std::lock_guard<std::mutex> lk(snap_mu_);
@@ -251,18 +251,25 @@ std::shared_ptr<const Pager::PageTable> Pager::committedTable() const {
   return committed_;
 }
 
+std::uint64_t Pager::oldestVisibleSeqLocked() const {
+  return pinned_.empty() ? commit_seq_ : pinned_.begin()->first;
+}
+
 void Pager::updateSnapshotAgeLocked() const {
-  const std::uint64_t oldest =
-      pinned_.empty() ? commit_seq_ : pinned_.begin()->first;
-  pagerCounters().snapshot_age.set(static_cast<double>(commit_seq_ - oldest));
+  pagerCounters().snapshot_age.set(
+      static_cast<double>(commit_seq_ - oldestVisibleSeqLocked()));
 }
 
 void Pager::publishCommitted() {
   auto t = std::make_shared<PageTable>();
   t->pages.assign(pages_.begin(), pages_.end());
   t->page_count = headerOf(pages_.at(0)->data())->page_count;
+  // commit_seq_ is written only here, on the writer side, so reading it
+  // unlocked is race-free. The hook runs before the new table is visible.
+  t->seq = commit_seq_ + 1;
+  if (publish_hook_) publish_hook_(t->seq);
   std::lock_guard<std::mutex> lk(snap_mu_);
-  t->seq = ++commit_seq_;
+  commit_seq_ = t->seq;
   committed_ = std::move(t);
   // Every working buffer is now referenced by a published table; the next
   // write to any page must copy first.
@@ -443,13 +450,12 @@ void Pager::rollbackJournal() {
 FilePager::FilePager(std::string path, Durability durability, Vfs* vfs,
                      std::uint32_t wal_autocheckpoint)
     : path_(std::move(path)),
-      journal_path_(journalPathFor(path_)),
       wal_path_(walPathFor(path_)),
       durability_(durability),
       vfs_(vfs != nullptr ? vfs : &PosixVfs::instance()),
       wal_autocheckpoint_(wal_autocheckpoint) {
+  refuseLeftoverJournal();
   file_ = vfs_->open(path_, /*create=*/true);
-  recoverHotJournal();
   recoverWal();
   loadFromDisk();
   publishIfChanged();
@@ -503,51 +509,18 @@ void FilePager::loadFromDisk() {
   }
 }
 
-void FilePager::recoverHotJournal() {
-  if (!vfs_->exists(journal_path_)) return;
-  auto jf = vfs_->open(journal_path_, /*create=*/false);
-  const std::uint64_t jsize = jf->size();
-
-  // Validate: header intact, all declared records present, checksum matches.
-  // Anything less means the crash hit while the journal itself was being
-  // written — the database was not yet touched, so the journal is garbage.
-  JournalHeader jh{};
-  std::vector<std::uint8_t> records;
-  bool valid = false;
-  if (jsize >= sizeof(JournalHeader) &&
-      jf->read(0, &jh, sizeof(jh)) == sizeof(jh) && jh.magic == kJournalMagic &&
-      jh.version == kJournalVersion) {
-    const std::uint64_t need =
-        sizeof(JournalHeader) + std::uint64_t{jh.page_count} * kJournalRecordSize;
-    if (jsize >= need) {
-      records.resize(need - sizeof(JournalHeader));
-      if (jf->read(sizeof(JournalHeader), records.data(), records.size()) ==
-              records.size() &&
-          fnv1a(records.data(), records.size()) == jh.checksum) {
-        valid = true;
-      }
-    }
-  }
-  jf.reset();
-  if (!valid) {
-    vfs_->remove(journal_path_);
-    recovery_stats_.discarded_invalid_journal = true;
+void FilePager::refuseLeftoverJournal() {
+  const std::string journal = journalPathFor(path_);
+  if (!vfs_->exists(journal)) return;
+  if (vfs_->open(journal, /*create=*/false)->size() == 0) {
+    // An invalidated journal: it describes no commit.
+    vfs_->remove(journal);
     return;
   }
-
-  // Roll back: restore every before-image, then cut the file back to its
-  // pre-commit length (dropping pages the interrupted commit appended).
-  for (std::uint32_t i = 0; i < jh.page_count; ++i) {
-    const std::uint8_t* rec = records.data() + std::size_t{i} * kJournalRecordSize;
-    PageId id;
-    std::memcpy(&id, rec, sizeof(id));
-    file_->write(std::uint64_t{id} * kPageSize, rec + sizeof(id), kPageSize);
-  }
-  file_->truncate(std::uint64_t{jh.orig_file_pages} * kPageSize);
-  file_->sync();
-  vfs_->remove(journal_path_);
-  recovery_stats_.recovered = true;
-  recovery_stats_.pages_restored = jh.page_count;
+  throw StorageError("FilePager: " + journal +
+                     " is a rollback journal from an earlier build, which this "
+                     "build cannot replay; open the store with that build once "
+                     "to roll it back, then reopen it here");
 }
 
 void FilePager::recoverWal() {
@@ -638,14 +611,6 @@ void FilePager::recoverWal() {
 void FilePager::flush() {
   if (durability_ == Durability::Wal) {
     flushWal(/*defer=*/false);
-    return;
-  }
-  if (dirty_.empty()) {
-    publishIfChanged();
-    return;
-  }
-  if (durability_ == Durability::Full) {
-    flushDurable();
   } else {
     flushInPlace();
   }
@@ -670,11 +635,6 @@ std::uint64_t FilePager::fileSizeBytes() const {
   return file_->size();
 }
 
-std::uint64_t FilePager::journalSizeBytes() const {
-  if (!vfs_->exists(journal_path_)) return 0;
-  return vfs_->open(journal_path_, /*create=*/false)->size();
-}
-
 std::uint64_t FilePager::walSizeBytes() const {
   if (durability_ == Durability::Wal) return wal_end_.load(std::memory_order_relaxed);
   if (!vfs_->exists(wal_path_)) return 0;
@@ -692,81 +652,6 @@ void FilePager::flushInPlace() {
   pagerCounters().disk_page_writes.inc(written);
   dirty_.clear();
   publishIfChanged();
-}
-
-void FilePager::flushDurable() {
-  const obs::StageTimer commit_timer;
-  // A journal left behind by an earlier failed flush describes the last
-  // committed on-disk state; roll the file back to it before starting over.
-  // dirty_ still covers every page changed since that state, so the retry
-  // rewrites everything the failed attempt did.
-  if (vfs_->exists(journal_path_)) {
-    RecoveryStats saved = recovery_stats_;
-    recoverHotJournal();
-    recovery_stats_ = saved;  // open-time stats, not flush-retry noise
-  }
-
-  const std::uint32_t count = header().page_count;
-  std::vector<PageId> to_write;
-  for (PageId id : dirty_) {
-    if (id < count && id < pages_.size() && pages_[id]) to_write.push_back(id);
-  }
-  if (to_write.empty()) {
-    dirty_.clear();
-    publishIfChanged();
-    return;
-  }
-  std::sort(to_write.begin(), to_write.end());
-
-  // 1. Journal the before-images of every committed page we will overwrite.
-  //    Pages past the current end of file need no image: rollback truncates.
-  const std::uint64_t disk_pages = file_->size() / kPageSize;
-  std::vector<std::uint8_t> records;
-  std::uint32_t journaled = 0;
-  for (PageId id : to_write) {
-    if (std::uint64_t{id} >= disk_pages) continue;
-    const std::size_t at = records.size();
-    records.resize(at + kJournalRecordSize);
-    std::memcpy(records.data() + at, &id, sizeof(id));
-    if (file_->read(std::uint64_t{id} * kPageSize, records.data() + at + sizeof(id),
-                    kPageSize) != kPageSize) {
-      throw StorageError("FilePager: short read of before-image from " + path_);
-    }
-    ++journaled;
-  }
-  JournalHeader jh{kJournalMagic, kJournalVersion, journaled,
-                   static_cast<std::uint32_t>(disk_pages),
-                   fnv1a(records.data(), records.size())};
-  std::vector<std::uint8_t> jbuf(sizeof(jh) + records.size());
-  std::memcpy(jbuf.data(), &jh, sizeof(jh));
-  if (!records.empty()) {  // data() of an empty vector may be null
-    std::memcpy(jbuf.data() + sizeof(jh), records.data(), records.size());
-  }
-
-  auto jf = vfs_->open(journal_path_, /*create=*/true);
-  jf->write(0, jbuf.data(), jbuf.size());
-  jf->sync();
-  pagerCounters().journal_fsyncs.inc();
-
-  // 2. Write the new pages in place, then force them to stable storage.
-  for (PageId id : to_write) {
-    file_->write(std::uint64_t{id} * kPageSize, pages_[id]->data(), kPageSize);
-  }
-  file_->sync();
-  pagerCounters().db_fsyncs.inc();
-
-  // 3. Commit point: invalidate the journal. Truncating to zero commits even
-  //    if the remove below never happens (an empty journal is discarded on
-  //    open).
-  jf->truncate(0);
-  jf.reset();
-  vfs_->remove(journal_path_);
-  dirty_.clear();
-  publishIfChanged();
-  pagerCounters().disk_page_writes.inc(to_write.size());
-  pagerCounters().commits.inc();
-  pagerCounters().commit_ms.observe(
-      static_cast<double>(commit_timer.elapsedUs()) / 1000.0);
 }
 
 // --- WAL ---------------------------------------------------------------------

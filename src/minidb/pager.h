@@ -5,43 +5,41 @@
 // and the first page of the catalog heap. The pager provides:
 //   * allocation (reusing free-listed pages first),
 //   * mutable/const access to page bytes,
-//   * page-level undo journaling: between beginJournal() and commitJournal(),
-//     the before-image of every touched page is retained so rollbackJournal()
-//     can restore the exact pre-transaction state (including the header, and
-//     therefore the free list and page count),
+//   * in-memory transaction undo: between beginJournal() and
+//     commitJournal(), the before-image of every touched page is retained
+//     in memory, with no disk I/O, so rollbackJournal() can restore the
+//     exact pre-transaction state (including the header, and therefore the
+//     free list and page count),
 //   * snapshot reads: page buffers are copy-on-write, and every commit
-//     publishes an immutable page table. A ReadSnapshot pins one published
-//     table; while a SnapshotScope for it is installed on a thread,
-//     pageForRead() on that thread resolves through the pinned table and
-//     never touches the writer's working state — readers see exactly one
-//     committed version and never block on (or race with) a writer,
+//     publishes an immutable page table, whatever the durability mode. A
+//     ReadSnapshot pins one published table; while a SnapshotScope for it
+//     is installed on a thread, pageForRead() on that thread resolves
+//     through the pinned table and never touches the writer's working
+//     state — readers see exactly one committed version and never block on
+//     (or race with) a writer,
 //   * durability: FilePager persists dirty pages to a backing file on flush();
 //     MemPager keeps everything in memory (the PerfTrack "in-memory backend").
 //
-// With Durability::Full (the default), flush() is an atomic commit protected
-// by an on-disk rollback journal (`<db>.journal`): before-images of every
-// page about to be overwritten are written to the journal and fsynced, then
-// the pages are written in place and the database fsynced, and only then is
-// the journal invalidated (truncated and removed). A crash at any point
-// leaves either the new state (journal gone) or enough information to roll
-// back to the last committed state; FilePager detects a hot journal on open
-// and replays it before loading. Durability::None keeps the legacy
-// behavior — in-place rewrite, no journal, no fsync — for scratch stores and
-// the durability-ablation benchmarks.
+// Durability::Wal (the default, and the one crash-safe mode) commits through
+// a write-ahead log (`<db>.wal`): flush() appends the dirty pages as frames
+// whose checksums chain (each one seeds the next; version 2 hashes with
+// XXH64, version-1 logs with FNV-1a still replay), staged and written
+// ~1 MiB per call; the last frame of each commit carries the new page count
+// and acts as the commit marker. So a commit never rewrites the database
+// file and a crash at any point leaves a committed prefix — recovery replays
+// every complete, checksum-chained commit from the WAL into the db file and
+// discards the torn tail. A checkpoint folds the WAL back into the db file
+// when no pinned snapshot still needs the old frames. Commit fsyncs support
+// group commit: flushAsync() appends + publishes without syncing and returns
+// an LSN; concurrent committers calling waitDurable(lsn) elect a leader that
+// batches every appended commit into one fsync. Durability::None rewrites
+// dirty pages in place with no log and no fsync, for scratch stores and the
+// durability-ablation benchmarks.
 //
-// Durability::Wal replaces the rollback journal with a write-ahead log
-// (`<db>.wal`): flush() appends the dirty pages as frames whose checksums
-// chain (each one seeds the next; version 2 hashes with XXH64, version-1
-// logs with FNV-1a still replay), staged and written ~1 MiB per call; the
-// last frame of each commit carries the new page count and acts as the
-// commit marker. So a commit never rewrites the database file and a crash
-// at any point leaves a committed prefix — recovery replays every complete,
-// checksum-chained commit from the WAL into the db file and discards the
-// torn tail. A checkpoint folds the WAL back into the db file when no pinned
-// snapshot still needs the old frames. Commit fsyncs support group commit:
-// flushAsync() appends + publishes without syncing and returns an LSN;
-// concurrent committers calling waitDurable(lsn) elect a leader that batches
-// every appended commit into one fsync.
+// Stores written by earlier builds may carry a rollback journal
+// (`<db>.journal`). This build has no journal replay: opening beside a
+// non-empty journal throws StorageError naming it and touches neither file,
+// so old pages are never served silently; an empty journal is removed.
 //
 // This mirrors the role PostgreSQL/Oracle played for the paper: a real paged
 // storage substrate underneath the relational schema.
@@ -51,6 +49,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -78,19 +77,6 @@ struct DbHeader {
 
 inline constexpr std::uint32_t kDbMagic = 0x50544442;  // "PTDB"
 inline constexpr std::uint32_t kDbVersion = 1;
-
-/// On-disk header of the rollback journal (`<db>.journal`). Followed by
-/// `page_count` records of {u32 page_id, u8[kPageSize] before-image}.
-struct JournalHeader {
-  std::uint32_t magic;            // 'PTDJ'
-  std::uint32_t version;
-  std::uint32_t page_count;       // number of before-image records
-  std::uint32_t orig_file_pages;  // db file length (in pages) at journal time
-  std::uint64_t checksum;         // FNV-1a 64 over the record bytes
-};
-
-inline constexpr std::uint32_t kJournalMagic = 0x5054444A;  // "PTDJ"
-inline constexpr std::uint32_t kJournalVersion = 1;
 
 /// On-disk header of the write-ahead log (`<db>.wal`). Followed by frames of
 /// {WalFrameHeader, u8[kPageSize] page image}.
@@ -128,16 +114,12 @@ inline constexpr std::uint32_t kDefaultWalAutoCheckpoint = 512;
 
 /// How flush() makes a commit reach the disk.
 enum class Durability {
-  None,  // in-place rewrite, no journal, no fsync (fast, crash-unsafe)
-  Full,  // rollback journal + fsync ordering; crash leaves last committed state
-  Wal,   // write-ahead log: append-only commits, snapshot reads, group commit
+  None,  // in-place rewrite, no log, no fsync (fast, crash-unsafe)
+  Wal,   // write-ahead log: append-only commits, group commit, crash-safe
 };
 
-/// What (if anything) happened to hot journal/WAL files found at open.
+/// What (if anything) happened to a leftover WAL found at open.
 struct RecoveryStats {
-  bool recovered = false;        // before-images were rolled back into the db
-  std::uint32_t pages_restored = 0;
-  bool discarded_invalid_journal = false;  // torn/empty journal: db untouched
   bool wal_replayed = false;               // committed WAL frames folded into the db
   std::uint32_t wal_frames_applied = 0;    // distinct pages written during replay
   bool discarded_invalid_wal = false;      // torn/garbage WAL tail discarded
@@ -262,9 +244,21 @@ class Pager {
   /// Pins the most recently published committed version.
   ReadSnapshot beginSnapshot() const;
 
-  /// True when the calling thread has a SnapshotScope installed for this
-  /// pager (reads resolve through a pinned table, not working state).
-  bool snapshotScopeActive() const;
+  /// Commit sequence number of the snapshot the calling thread reads
+  /// through for this pager (a SnapshotScope is installed), or 0 when it
+  /// reads the working state (published seqs start at 1).
+  std::uint64_t snapshotScopeSeq() const;
+
+  /// The lowest commit seq any live or future snapshot can hold: the oldest
+  /// pinned seq, or the latest published one when nothing older is pinned.
+  std::uint64_t oldestVisibleSeq() const;
+
+  /// Installs `hook`, called on the writer side with the new commit's
+  /// sequence number just before it becomes visible to new snapshots (the
+  /// inverted-index manager ends its cache ranges there). Null removes it.
+  void setPublishHook(std::function<void(std::uint64_t seq)> hook) {
+    publish_hook_ = std::move(hook);
+  }
 
   /// Number of live ReadSnapshots (any version).
   std::size_t pinnedSnapshots() const;
@@ -306,16 +300,13 @@ class Pager {
   /// This pager's durability mode (None for MemPager).
   virtual Durability durability() const { return Durability::None; }
 
-  /// Hot journal/WAL recovery outcome of open (all-false for MemPager and
-  /// for clean opens).
+  /// WAL recovery outcome of open (all-false for MemPager and for clean
+  /// opens).
   const RecoveryStats& recoveryStats() const { return recovery_stats_; }
 
   /// On-disk database file size in bytes (0 for in-memory backends). May
   /// differ from sizeBytes() until the next flush.
   virtual std::uint64_t fileSizeBytes() const { return 0; }
-
-  /// Size of the sidecar rollback journal, or 0 when absent/in-memory.
-  virtual std::uint64_t journalSizeBytes() const { return 0; }
 
   /// Bytes of valid write-ahead log, or 0 when absent/not in WAL mode.
   virtual std::uint64_t walSizeBytes() const { return 0; }
@@ -344,6 +335,7 @@ class Pager {
 
  private:
   void unpinSnapshot(std::uint64_t seq) const;
+  std::uint64_t oldestVisibleSeqLocked() const;
   void updateSnapshotAgeLocked() const;
   /// The page table installed by this thread's inner-most SnapshotScope for
   /// this pager, or null when reads should use the working state.
@@ -366,6 +358,7 @@ class Pager {
   std::shared_ptr<const PageTable> committed_;
   std::uint64_t commit_seq_ = 0;
   mutable std::map<std::uint64_t, std::size_t> pinned_;  // seq -> pin count
+  std::function<void(std::uint64_t)> publish_hook_;
 };
 
 /// Fully in-memory pager (fast path; used for scratch stores and tests).
@@ -378,15 +371,15 @@ class MemPager final : public Pager {
 };
 
 /// File-backed pager. Loads the whole file on open (replaying a stale WAL
-/// and rolling back a hot journal first, if present); flush() persists dirty
-/// pages according to the durability mode.
+/// first, if present); flush() persists dirty pages according to the
+/// durability mode.
 class FilePager final : public Pager {
  public:
   /// Opens (or creates) the database file at `path`. All disk operations go
   /// through `vfs` (default: the real filesystem), which is how the crash
   /// tests inject faults. `wal_autocheckpoint` is the WAL auto-checkpoint
   /// threshold in frames (0 disables automatic checkpoints).
-  explicit FilePager(std::string path, Durability durability = Durability::Full,
+  explicit FilePager(std::string path, Durability durability = Durability::Wal,
                      Vfs* vfs = nullptr,
                      std::uint32_t wal_autocheckpoint = kDefaultWalAutoCheckpoint);
   ~FilePager() override;
@@ -397,7 +390,6 @@ class FilePager final : public Pager {
   void checkpoint() override;
 
   std::uint64_t fileSizeBytes() const override;
-  std::uint64_t journalSizeBytes() const override;
   std::uint64_t walSizeBytes() const override;
 
   const std::string& path() const { return path_; }
@@ -408,7 +400,8 @@ class FilePager final : public Pager {
     return wal_frames_.load(std::memory_order_relaxed);
   }
 
-  /// Sidecar rollback-journal path for a database file.
+  /// Sidecar rollback-journal path an earlier build used for a database
+  /// file; open refuses a store beside a non-empty one.
   static std::string journalPathFor(const std::string& db_path) {
     return db_path + ".journal";
   }
@@ -420,15 +413,14 @@ class FilePager final : public Pager {
 
  private:
   void loadFromDisk();
-  /// Rolls a hot (valid, non-empty) journal back into the db file; discards
-  /// torn or empty journals. Updates recovery_stats_.
-  void recoverHotJournal();
+  /// Throws StorageError, touching neither file, when a non-empty rollback
+  /// journal from an earlier build sits beside the db; removes an empty one.
+  void refuseLeftoverJournal();
   /// Replays every complete committed transaction from a leftover WAL into
   /// the db file, discards the torn tail, and removes the WAL. Updates
   /// recovery_stats_. Throws StorageError, touching neither file, when the
   /// log has a whole header of an unknown version or page size.
   void recoverWal();
-  void flushDurable();
   void flushInPlace();
   /// WAL commit: appends dirty pages as frames and publishes the new page
   /// table. Returns the commit's LSN (0 if nothing to commit). When `defer`
@@ -441,7 +433,6 @@ class FilePager final : public Pager {
   void ensureWalOpen();
 
   std::string path_;
-  std::string journal_path_;
   std::string wal_path_;
   Durability durability_;
   Vfs* vfs_;

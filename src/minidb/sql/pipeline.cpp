@@ -1210,8 +1210,7 @@ class IndexInListIter : public SlotIter {
 /// (page, slot), which is exactly the order a B+-tree point probe emits
 /// rows for one key, so the row stream is byte-identical to
 /// IndexInListIter's. Falls back to B-tree point probes when the index
-/// declines (snapshot read, undecodable column) or a key is not an
-/// integer.
+/// declines (undecodable column) or a key is not an integer.
 class PostingInListIter : public SlotIter {
  public:
   PostingInListIter(Database& db, const SelectPlan::AccessPath& path,

@@ -108,7 +108,7 @@ struct SelectPlan {
       /// lookup per key instead of one B+-tree descent per key. Chosen over
       /// IndexInList when the engine's invidx knob is on and the key column
       /// is INTEGER; `index` stays set for the runtime B-tree fallback
-      /// (snapshot reads, non-integer keys, undecodable columns).
+      /// (non-integer keys, undecodable columns).
       PostingInList,
     } kind = Kind::Scan;
     const IndexDef* index = nullptr;

@@ -15,7 +15,7 @@
 //     recovery restores the last committed state each time.
 //
 // The injected failure can also be a real SIGKILL (FaultAction::Kill), used
-// by scripts/crash_kill_test.sh to produce a genuine hot journal from a
+// by scripts/crash_kill_test.sh to produce a genuine stale WAL from a
 // process that dies mid-ingest.
 #pragma once
 
@@ -87,7 +87,7 @@ class PosixVfs final : public Vfs {
 /// What happens when the planned fault point is reached.
 enum class FaultAction {
   Throw,  // throw InjectedFault (in-process crash simulation)
-  Kill,   // raise(SIGKILL): a real crash, for the hot-journal CLI test
+  Kill,   // raise(SIGKILL): a real crash, for the CLI crash tests
 };
 
 /// Deterministic fault plan: mutating operations (write/sync/truncate) are

@@ -14,7 +14,7 @@
 //
 // Metric objects live as long as the process (the registry never erases),
 // so cached pointers stay valid forever. Naming scheme (DESIGN.md §5.5):
-// pt_<layer>_<what>[_total|_ms], e.g. pt_pager_journal_fsyncs_total.
+// pt_<layer>_<what>[_total|_ms], e.g. pt_wal_fsyncs_total.
 #pragma once
 
 #include <array>

@@ -25,9 +25,6 @@ void DbGate::unlockShared() {
 }
 
 bool DbGate::lockWrite(std::chrono::milliseconds timeout) {
-  // Legacy (journal) mode: every mutation is an exclusive hold, exactly the
-  // pre-WAL behavior.
-  if (!snapshot_reads_) return lockExclusive(timeout);
   std::unique_lock<std::mutex> lock(mu_);
   // Writer-writer mutual exclusion only; readers stream their snapshots
   // underneath. Park behind queued exclusive (schema) holds so a steady DML
@@ -41,10 +38,6 @@ bool DbGate::lockWrite(std::chrono::milliseconds timeout) {
 }
 
 void DbGate::unlockWrite() {
-  if (!snapshot_reads_) {
-    unlockExclusive();
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     dml_writer_ = false;

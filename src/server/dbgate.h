@@ -6,6 +6,11 @@
 // pages in place. DbGate turns that convention into a runtime guarantee: a
 // reader/writer gate that every server request passes through.
 //
+// Readers run under pinned storage snapshots (every durability mode
+// publishes one per commit), so a DML writer never disturbs them: shared
+// holds conflict only with exclusive (schema) holds, and DML writers only
+// with each other — SELECTs stream while commits land.
+//
 // It differs from std::shared_mutex in three server-specific ways:
 //   * Acquisition takes a timeout. A writer that cannot start because
 //     cursors are pinned open (or a reader blocked behind a queued writer)
@@ -32,21 +37,6 @@ namespace perftrack::server {
 
 class DbGate {
  public:
-  /// Configures snapshot-read mode. Set once at server start, before any
-  /// worker thread exists (the thread-creation fence publishes it).
-  ///
-  /// Off (journal durability, the default): the classic two-tier gate —
-  /// lockWrite() delegates to the exclusive hold, so every mutation drains
-  /// every reader.
-  ///
-  /// On (WAL durability): readers run under pinned storage snapshots, so a
-  /// concurrent DML writer cannot disturb them. Shared holds then conflict
-  /// only with exclusive (schema) holds, and lockWrite() provides
-  /// writer-writer mutual exclusion without draining readers — SELECTs
-  /// stream while commits land.
-  void setSnapshotReads(bool on) { snapshot_reads_ = on; }
-  bool snapshotReads() const { return snapshot_reads_; }
-
   /// Acquires one shared (read) hold. `bypass_writer_queue` is set by
   /// sessions that already hold at least one read hold (see above).
   /// Returns false on timeout.
@@ -55,9 +45,8 @@ class DbGate {
   /// Releases one shared hold; callable from any thread.
   void unlockShared();
 
-  /// Acquires the DML-writer hold. In snapshot mode this excludes only
-  /// other writers (exclusive holds included) — readers keep streaming; in
-  /// legacy mode it is exactly lockExclusive(). Returns false on timeout.
+  /// Acquires the DML-writer hold: excludes only other writers (exclusive
+  /// holds included) — readers keep streaming. Returns false on timeout.
   bool lockWrite(std::chrono::milliseconds timeout);
 
   void unlockWrite();
@@ -116,8 +105,8 @@ class DbGate {
     DbGate* gate_ = nullptr;
   };
 
-  /// RAII wrapper for the DML-writer hold. release() exists so a WAL-mode
-  /// session can drop the hold after the commit is appended but before the
+  /// RAII wrapper for the DML-writer hold. release() exists so a session
+  /// can drop the hold after the commit is appended but before the
   /// group-commit fsync — the next writer overlaps with this one's sync.
   class WriteHold {
    public:
@@ -139,10 +128,9 @@ class DbGate {
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  bool snapshot_reads_ = false;  // set once before threads exist
   int readers_ = 0;          // active shared holds (incl. cursor-lifetime)
   bool writer_ = false;      // exclusive hold active
-  bool dml_writer_ = false;  // DML-writer hold active (snapshot mode only)
+  bool dml_writer_ = false;  // DML-writer hold active
   int writers_waiting_ = 0;  // queued exclusive holds (readers defer to them)
 };
 

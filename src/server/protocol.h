@@ -36,8 +36,9 @@
 //                                                     u64 uptime_ms,
 //                                                     u32 open_cursors,
 //                                                     u64 db_file_bytes,
-//                                                     u64 journal_bytes,
-//                                                     u64 busy_rejections}
+//                                                     u64 reserved,
+//                                                     u64 busy_rejections,
+//                                                     u64 wal_bytes}
 //   PING    {}                            -> PONG {}
 //   METRICS {}                            -> METRICS_OK {str text}
 //                                            (Prometheus exposition format)
@@ -62,7 +63,10 @@
 // clamped to its maximum.
 //
 // STAT_OK grows append-only: old clients read the leading fields and stop,
-// new clients treat a short payload as "server predates the field".
+// new clients treat a short payload as "server predates the field". Its
+// layout is positional, so a retired field keeps its slot: `reserved` once
+// carried the rollback-journal size, is always written as 0, and is
+// skipped by clients.
 //
 // Any failure produces ERROR {u16 code, str message} and never kills the
 // daemon; only protocol-level damage (truncated/oversized frames) closes

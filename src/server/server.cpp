@@ -13,11 +13,7 @@
 namespace perftrack::server {
 
 PtServer::PtServer(minidb::Database& db, ServerConfig config)
-    : db_(&db), config_(std::move(config)) {
-  // WAL durability: cursors pin storage snapshots, so the gate lets DML
-  // writers run concurrently with readers (schema ops still drain all).
-  gate_.setSnapshotReads(db.durability() == minidb::Durability::Wal);
-}
+    : db_(&db), config_(std::move(config)) {}
 
 PtServer::~PtServer() { stop(); }
 
@@ -85,14 +81,8 @@ std::string PtServer::renderHealthz() const {
 }
 
 std::string PtServer::renderVarz() const {
-  const auto durability = [&]() -> const char* {
-    switch (db_->durability()) {
-      case minidb::Durability::None: return "none";
-      case minidb::Durability::Full: return "full";
-      case minidb::Durability::Wal: return "wal";
-    }
-    return "unknown";
-  }();
+  const char* durability =
+      db_->durability() == minidb::Durability::Wal ? "wal" : "none";
   std::string out;
   out += "pt_server_build_compiler " __VERSION__ "\n";
   out += "pt_server_build_date " __DATE__ "\n";

@@ -1,6 +1,5 @@
 #include "server/session.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,7 +19,7 @@ bool isReadKind(Statement::Kind kind) { return kind == Statement::Kind::Select; 
 bool isTxnKind(Statement::Kind kind) { return kind == Statement::Kind::Txn; }
 
 /// Statements that rewrite the catalog or move pages under every version;
-/// they take the exclusive hold even in WAL mode.
+/// they take the exclusive hold.
 bool isSchemaKind(Statement::Kind kind) {
   return kind == Statement::Kind::CreateTable ||
          kind == Statement::Kind::CreateIndex ||
@@ -46,8 +45,7 @@ Session::Session(std::uint64_t id, minidb::Database& db, DbGate& gate,
       gate_(&gate),
       limits_(limits),
       counters_(&counters),
-      engine_(db, limits.exec_options),
-      snapshot_reads_(db.durability() == minidb::Durability::Wal) {
+      engine_(db, limits.exec_options) {
   counters_->sessions.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -192,12 +190,10 @@ Frame Session::executeSelect(
     return makeError(ErrCode::Busy,
                      "database is busy (writer active or queued); retry");
   }
-  // WAL mode: the cursor pins the committed version as of this instant and
-  // streams it to the last row — concurrent DML commits never block it and
-  // never appear in it.
-  minidb::sql::Cursor cursor = snapshot_reads_
-                                   ? stmt->openCursor(db_->takeSnapshot())
-                                   : stmt->openCursor();
+  // The cursor pins the committed version as of this instant and streams
+  // it to the last row — concurrent DML commits never block it and never
+  // appear in it.
+  minidb::sql::Cursor cursor = stmt->openCursor(db_->takeSnapshot());
   const std::uint32_t cursor_id = next_cursor_id_++;
   CursorEntry entry;
   entry.cursor.emplace(std::move(cursor));
@@ -220,7 +216,7 @@ Frame Session::executeSelect(
 
 Frame Session::executeWrite(
     const std::shared_ptr<minidb::sql::PreparedStatement>& stmt) {
-  if (snapshot_reads_ && !isSchemaKind(stmt->kind())) return executeDmlWal(stmt);
+  if (!isSchemaKind(stmt->kind())) return executeDml(stmt);
   DbGate::ExclusiveHold hold(*gate_, limits_.lock_timeout);
   if (!hold.held()) {
     counters_->busy_rejections.fetch_add(1, std::memory_order_relaxed);
@@ -234,8 +230,8 @@ Frame Session::executeWrite(
     rs = stmt->execute();
     db_->flush();
   } else {
-    // Autocommit: each write is its own journal-protected atomic commit, so
-    // a daemon crash can never expose another client's half-applied write.
+    // Autocommit: each schema change is its own atomic commit, so a daemon
+    // crash can never expose another client's half-applied write.
     db_->begin();
     try {
       rs = stmt->execute();
@@ -251,7 +247,7 @@ Frame Session::executeWrite(
   return makeFrame(Op::ResultOk, std::move(w));
 }
 
-Frame Session::executeDmlWal(
+Frame Session::executeDml(
     const std::shared_ptr<minidb::sql::PreparedStatement>& stmt) {
   // Writer-writer mutual exclusion only: readers keep streaming their
   // snapshots while this commit lands.
@@ -392,21 +388,16 @@ Frame Session::doSetOption(WireReader& r) {
 
 Frame Session::doStat(WireReader& r) {
   r.expectEnd("STAT");
-  // sizeBytes reads the header page; take a brief shared hold so a writer
-  // can't be rewriting it concurrently. In WAL mode the shared hold no
-  // longer excludes DML writers, so the header is read through a pinned
-  // snapshot instead.
+  // sizeBytes reads the header page. The shared hold excludes schema
+  // changes but not DML writers, so the header is read through a pinned
+  // snapshot.
   DbGate::SharedHold hold(*gate_, limits_.lock_timeout, gate_holds_ > 0);
   if (!hold.held()) {
     counters_->busy_rejections.fetch_add(1, std::memory_order_relaxed);
     return makeError(ErrCode::Busy, "database is busy; retry");
   }
-  std::optional<minidb::Pager::ReadSnapshot> snap;
-  std::optional<minidb::Pager::SnapshotScope> scope;
-  if (snapshot_reads_) {
-    snap.emplace(db_->takeSnapshot());
-    scope.emplace(*snap);
-  }
+  const minidb::Pager::ReadSnapshot snap = db_->takeSnapshot();
+  const minidb::Pager::SnapshotScope scope(snap);
   WireWriter w;
   w.u64(db_->sizeBytes());
   w.u32(counters_->sessions.load(std::memory_order_relaxed));
@@ -415,7 +406,7 @@ Frame Session::doStat(WireReader& r) {
   w.u64(counters_->uptimeMillis());
   w.u32(counters_->open_cursors.load(std::memory_order_relaxed));
   w.u64(db_->fileSizeBytes());
-  w.u64(db_->journalSizeBytes());
+  w.u64(0);  // journal_bytes: reserved (see protocol.h)
   w.u64(counters_->busy_rejections.load(std::memory_order_relaxed));
   w.u64(db_->walSizeBytes());
   return makeFrame(Op::StatOk, std::move(w));
@@ -439,9 +430,9 @@ Frame Session::doDiff(WireReader& r) {
   req.abs_threshold = diffThreshold(r, "absolute threshold");
   r.expectEnd("DIFF");
 
-  // The diagnosis is a burst of SELECTs: it runs under one shared hold (and
-  // one pinned snapshot in WAL mode, so a committing writer never skews the
-  // two sides against each other), released as soon as the ranked rows are
+  // The diagnosis is a burst of SELECTs: it runs under one shared hold and
+  // one pinned snapshot (so a committing writer never skews the two sides
+  // against each other), released as soon as the ranked rows are
   // materialized — the staged cursor holds no storage at all.
   core::diag::Report report;
   {
@@ -451,12 +442,8 @@ Frame Session::doDiff(WireReader& r) {
       return makeError(ErrCode::Busy,
                        "database is busy (writer active or queued); retry");
     }
-    std::optional<minidb::Pager::ReadSnapshot> snap;
-    std::optional<minidb::Pager::SnapshotScope> scope;
-    if (snapshot_reads_) {
-      snap.emplace(db_->takeSnapshot());
-      scope.emplace(*snap);
-    }
+    const minidb::Pager::ReadSnapshot snap = db_->takeSnapshot();
+    const minidb::Pager::SnapshotScope scope(snap);
     report = core::diag::diagnose(engine_, req);
   }
 
@@ -499,7 +486,6 @@ std::string renderServerMetrics(minidb::Database& db, const ServerCounters& coun
         counters.open_cursors.load(std::memory_order_relaxed));
   gauge("pt_server_uptime_ms", counters.uptimeMillis());
   gauge("pt_db_file_bytes", db.fileSizeBytes());
-  gauge("pt_db_journal_bytes", db.journalSizeBytes());
   gauge("pt_db_wal_file_bytes", db.walSizeBytes());
   auto counter = [&out](const char* name, std::uint64_t v) {
     out += "# TYPE ";

@@ -5,22 +5,20 @@
 // Session is the protocol's only entry into the shared minidb Database, and
 // every entry point is classified and gated:
 //
-//   SELECT / EXPLAIN   shared gate hold, kept for the cursor's lifetime so
-//                      concurrent SELECTs from many sessions run in
-//                      parallel while no writer can move pages under them;
-//                      under WAL durability the cursor additionally pins a
-//                      storage snapshot, and the shared hold conflicts only
-//                      with schema changes — DML proceeds underneath. A
-//                      result that fits its first batch ends the cursor
-//                      (hold and snapshot) inside its own EXECUTE;
+//   SELECT / EXPLAIN   shared gate hold plus a pinned storage snapshot,
+//                      both kept for the cursor's lifetime, so concurrent
+//                      SELECTs from many sessions run in parallel; the
+//                      shared hold conflicts only with schema changes — DML
+//                      proceeds underneath. A result that fits its first
+//                      batch ends the cursor (hold and snapshot) inside its
+//                      own EXECUTE;
 //   INSERT/UPDATE/DELETE
-//                      journal mode: exclusive gate hold for the statement,
-//                      wrapped in the journal-protected commit. WAL mode:
-//                      writer-only hold, commit appended to the WAL, hold
-//                      released, then the group-commit fsync (batched with
-//                      concurrent committers) before the OK frame;
-//   DDL / VACUUM       exclusive gate hold in both modes (they rewrite the
-//                      catalog and move pages under every version);
+//                      writer-only hold, commit appended (WAL) or written
+//                      in place (None) and published, hold released, then
+//                      the group-commit fsync (batched with concurrent
+//                      committers) before the OK frame;
+//   DDL / VACUUM       exclusive gate hold (they rewrite the catalog and
+//                      move pages under every version);
 //   BEGIN/COMMIT/ROLLBACK
 //                      rejected (autocommit only — interleaving frames from
 //                      many clients inside one storage transaction would
@@ -157,7 +155,7 @@ class Session {
   Frame executeSelect(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt,
                       std::uint32_t max_rows);
   Frame executeWrite(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
-  Frame executeDmlWal(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
+  Frame executeDml(const std::shared_ptr<minidb::sql::PreparedStatement>& stmt);
   /// Appends one batch {u8 done, u32 nrows, rows...} from cursor `it` to
   /// `out`: at most `max_rows` rows (0 = default_fetch_rows, clamped to
   /// max_fetch_rows) within the byte budget. EXECUTE, FETCH and DIFF all
@@ -181,9 +179,6 @@ class Session {
   std::uint32_t next_cursor_id_ = 1;
   int gate_holds_ = 0;  // cursor-lifetime shared holds this session owns
   bool hello_done_ = false;
-  // WAL durability: SELECT cursors pin storage snapshots (writers don't
-  // block them) and DML commits through the group-commit path.
-  bool snapshot_reads_ = false;
 };
 
 }  // namespace perftrack::server

@@ -13,14 +13,14 @@
 //   * the contents equal the state after the last completed commit — the
 //     transaction in flight at the crash is either fully present (the
 //     crash hit after the commit point) or fully absent, never partial;
-//   * the rollback journal is gone after the reopen;
+//   * the write-ahead log is gone after the reopen;
 //   * cached statements replan and return correct results after recovery.
 //
 // The matrix is parameterized over (durability mode, torn): the same
-// workload and the same invariants run against the rollback journal and
-// the write-ahead log, clean and with torn (partial-sector) writes at the
-// fault point. WAL runs use a tiny autocheckpoint so fault points land
-// inside checkpoints (WAL folding back into the db file) as well as inside
+// workload and the same invariants run against every crash-safe mode —
+// the write-ahead log — clean and with torn (partial-sector) writes at the
+// fault point. Runs use a tiny autocheckpoint so fault points land inside
+// checkpoints (WAL folding back into the db file) as well as inside
 // commits.
 #include <gtest/gtest.h>
 
@@ -177,28 +177,27 @@ TEST_P(CrashMatrix, EveryFaultPointRecoversToACommittedState) {
     } catch (const InjectedFault&) {
       crashed = true;
     }
-    // Late WAL fault points land in the close-time checkpoint, where the
+    // Late fault points land in the close-time checkpoint, where the
     // pager destructor swallows the exception (a real close would just die
     // with the process). The fault still fired — the store on disk is
     // crashed either way.
     ASSERT_TRUE(crashed || vfs.crashed())
         << "fault point " << k << " was never reached";
 
-    // Reopen with a clean VFS: hot-journal / stale-WAL recovery runs here.
+    // Reopen with a clean VFS: stale-WAL recovery runs here.
     OpenOptions options;
     options.durability = durability;
     auto conn = Connection::open(path, options);
 
-    // Both logs must be consumed by recovery, whichever way it went.
-    EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
+    // The log must be consumed by recovery, whichever way it went.
     EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
 
     // Storage invariants: heap and every index agree.
     EXPECT_TRUE(conn->database().verifyIntegrity().empty());
 
     // Atomicity: the store holds the state after the last completed commit,
-    // or — when the crash hit between the commit point (journal
-    // invalidation) and the commit call returning — the in-flight
+    // or — when the crash hit between the commit point (the marker frame
+    // reaching the log) and the commit call returning — the in-flight
     // transaction in full. Never anything in between. (A crash inside
     // VACUUM may land on either side of its flush too; both sides hold the
     // same logical contents, so the same check covers it.)
@@ -226,88 +225,26 @@ TEST_P(CrashMatrix, EveryFaultPointRecoversToACommittedState) {
 }
 
 std::string crashMatrixName(const ::testing::TestParamInfo<CrashMatrixParam>& info) {
-  const Durability durability = std::get<0>(info.param);
-  const bool torn = std::get<1>(info.param);
-  return std::string(durability == Durability::Wal ? "Wal" : "Journal") +
-         (torn ? "TornWrites" : "CleanFaults");
+  return std::string("Wal") + (std::get<1>(info.param) ? "TornWrites" : "CleanFaults");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     CleanAndTorn, CrashMatrix,
-    ::testing::Combine(::testing::Values(Durability::Full, Durability::Wal),
-                       ::testing::Values(false, true)),
+    ::testing::Combine(::testing::Values(Durability::Wal), ::testing::Values(false, true)),
     crashMatrixName);
 
-// --- direct journal-level tests ---------------------------------------------
+// --- direct commit-level tests -----------------------------------------------
 
 TEST(DurablePager, CommitLeavesNoJournalBehind) {
   util::TempDir dir;
   const std::string path = dir.file("d.db").string();
-  FilePager pager(path, Durability::Full);
+  FilePager pager(path);
   const PageId id = pager.allocate();
   std::memcpy(pager.pageForWrite(id), "durable", 7);
   pager.flush();
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
-  EXPECT_FALSE(pager.recoveryStats().recovered);
-}
-
-TEST(DurablePager, HotJournalRollsBackToLastCommit) {
-  util::TempDir dir;
-  const std::string path = dir.file("d.db").string();
-  FaultInjectingVfs vfs(PosixVfs::instance());
-  {
-    FilePager pager(path, Durability::Full, &vfs);
-    const PageId id = pager.allocate();
-    std::memcpy(pager.pageForWrite(id), "first", 5);
-    pager.flush();  // committed state
-
-    std::memcpy(pager.pageForWrite(id), "SECOND", 6);
-    // Fail the db-page write of the next flush: the journal is durable,
-    // the db is mid-overwrite.
-    FaultPlan plan;
-    plan.fail_at_op = vfs.mutatingOps() + 3;  // journal write, journal sync, db write
-    vfs.setPlan(plan);
-    EXPECT_THROW(pager.flush(), InjectedFault);
-  }
-  // Reopen: the hot journal restores "first".
-  FilePager pager(path, Durability::Full);
-  EXPECT_TRUE(pager.recoveryStats().recovered);
-  EXPECT_GE(pager.recoveryStats().pages_restored, 1u);
-  bool found = false;
-  for (PageId id = 1; id < pager.pageCount(); ++id) {
-    if (std::memcmp(pager.pageForRead(id), "first", 5) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
-  EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
-}
-
-TEST(DurablePager, TornJournalIsDiscardedAndDbUntouched) {
-  util::TempDir dir;
-  const std::string path = dir.file("d.db").string();
-  FaultInjectingVfs vfs(PosixVfs::instance());
-  {
-    FilePager pager(path, Durability::Full, &vfs);
-    const PageId id = pager.allocate();
-    std::memcpy(pager.pageForWrite(id), "first", 5);
-    pager.flush();
-    std::memcpy(pager.pageForWrite(id), "SECOND", 6);
-    // Fail the journal write itself, torn: an incomplete journal hits disk
-    // and the db is never touched.
-    FaultPlan plan;
-    plan.fail_at_op = vfs.mutatingOps() + 1;
-    plan.torn_write = true;
-    vfs.setPlan(plan);
-    EXPECT_THROW(pager.flush(), InjectedFault);
-  }
-  EXPECT_TRUE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
-  FilePager pager(path, Durability::Full);
-  EXPECT_FALSE(pager.recoveryStats().recovered);
-  EXPECT_TRUE(pager.recoveryStats().discarded_invalid_journal);
-  bool found = false;
-  for (PageId id = 1; id < pager.pageCount(); ++id) {
-    if (std::memcmp(pager.pageForRead(id), "first", 5) == 0) found = true;
-  }
-  EXPECT_TRUE(found);
+  EXPECT_TRUE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
+  EXPECT_FALSE(pager.recoveryStats().wal_replayed);
 }
 
 TEST(DurablePager, FailedFlushRetriesCleanly) {
@@ -317,22 +254,23 @@ TEST(DurablePager, FailedFlushRetriesCleanly) {
   util::TempDir dir;
   const std::string path = dir.file("d.db").string();
   FaultInjectingVfs vfs(PosixVfs::instance());
-  FilePager pager(path, Durability::Full, &vfs);
+  FilePager pager(path, Durability::Wal, &vfs, /*wal_autocheckpoint=*/0);
   const PageId id = pager.allocate();
   std::memcpy(pager.pageForWrite(id), "first", 5);
   pager.flush();
   std::memcpy(pager.pageForWrite(id), "SECOND", 6);
   FaultPlan plan;
-  plan.fail_at_op = vfs.mutatingOps() + 3;
+  plan.fail_at_op = vfs.mutatingOps() + 1;  // the frame write fails
   vfs.setPlan(plan);
   EXPECT_THROW(pager.flush(), InjectedFault);
   // "Transient" failure: the machine did not actually die. Clear the fault
-  // and retry the flush on the same pager.
+  // and retry the flush on the same pager, then close it cleanly.
   vfs.reset();
   vfs.setPlan(FaultPlan{});
   pager.flush();
-  FilePager check(path, Durability::Full);
-  EXPECT_FALSE(check.recoveryStats().recovered);
+  pager.checkpoint();
+  FilePager check(path, Durability::Wal);
+  EXPECT_FALSE(check.recoveryStats().wal_replayed);
   bool found = false;
   for (PageId p = 1; p < check.pageCount(); ++p) {
     if (std::memcmp(check.pageForRead(p), "SECOND", 6) == 0) found = true;
@@ -351,7 +289,8 @@ TEST(DurablePager, DurabilityNoneWritesNoJournal) {
     pager.flush();
   }
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::journalPathFor(path)));
-  // No sync, no truncate, no journal ops: just the page writes.
+  EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
+  // No sync, no truncate, no log: just the page writes.
   FilePager check(path, Durability::None);
   bool found = false;
   for (PageId p = 1; p < check.pageCount(); ++p) {
@@ -365,20 +304,81 @@ TEST(DurablePager, CrashDuringFirstEverFlushRollsBackToEmpty) {
   const std::string path = dir.file("d.db").string();
   FaultInjectingVfs vfs(PosixVfs::instance());
   {
-    FilePager pager(path, Durability::Full, &vfs);
+    FilePager pager(path, Durability::Wal, &vfs);
     const PageId id = pager.allocate();
     std::memcpy(pager.pageForWrite(id), "never", 5);
     FaultPlan plan;
-    plan.fail_at_op = 4;  // journal write, journal sync, db write x2 -> fail
+    plan.fail_at_op = 2;  // header write, then the frame write tears
+    plan.torn_write = true;
     vfs.setPlan(plan);
     EXPECT_THROW(pager.flush(), InjectedFault);
   }
-  // Recovery truncates the db file back to zero length; the store opens as
-  // a fresh, empty database.
-  FilePager pager(path, Durability::Full);
-  EXPECT_TRUE(pager.recoveryStats().recovered ||
-              pager.recoveryStats().discarded_invalid_journal);
+  // The commit never became durable: recovery finds no complete commit in
+  // the log and the store opens as a fresh, empty database.
+  FilePager pager(path, Durability::Wal);
+  EXPECT_FALSE(pager.recoveryStats().wal_replayed);
+  EXPECT_TRUE(pager.recoveryStats().discarded_invalid_wal);
   EXPECT_EQ(pager.pageCount(), 1u);
+}
+
+/// Whole contents of a file (empty when it does not exist).
+std::string fileBytes(const std::string& path) {
+  if (!PosixVfs::instance().exists(path)) return {};
+  auto f = PosixVfs::instance().open(path, /*create=*/false);
+  std::string bytes(f->size(), '\0');
+  EXPECT_EQ(f->read(0, bytes.data(), bytes.size()), bytes.size());
+  return bytes;
+}
+
+TEST(DurablePager, LeftoverJournalIsRefusedAndBothFilesStayByteIdentical) {
+  // A rollback journal left by an earlier build may hold the before-images
+  // of a half-written commit. This build cannot replay it, so open must
+  // refuse — naming the file — rather than serve the half-written pages.
+  util::TempDir dir;
+  const std::string path = dir.file("j.db").string();
+  const std::string journal = FilePager::journalPathFor(path);
+  {
+    FilePager pager(path, Durability::None);
+    std::memcpy(pager.pageForWrite(pager.allocate()), "stored", 6);
+    pager.flush();
+  }
+  {
+    auto f = PosixVfs::instance().open(journal, /*create=*/true);
+    const std::string hot = "PTDJ\x01 before-images of a crashed commit";
+    f->write(0, hot.data(), hot.size());
+  }
+  const std::string db_before = fileBytes(path);
+  const std::string journal_before = fileBytes(journal);
+  ASSERT_FALSE(db_before.empty());
+
+  for (Durability durability : {Durability::Wal, Durability::None}) {
+    try {
+      FilePager pager(path, durability);
+      ADD_FAILURE() << "opened a store beside a non-empty journal";
+    } catch (const util::StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find(journal), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(Connection::open(path), util::StorageError);
+  EXPECT_EQ(fileBytes(path), db_before);
+  EXPECT_EQ(fileBytes(journal), journal_before);
+  EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
+}
+
+TEST(DurablePager, EmptyLeftoverJournalIsRemovedOnOpen) {
+  // An empty journal is an invalidated one: it describes no commit.
+  util::TempDir dir;
+  const std::string path = dir.file("j.db").string();
+  const std::string journal = FilePager::journalPathFor(path);
+  {
+    FilePager pager(path, Durability::None);
+    std::memcpy(pager.pageForWrite(pager.allocate()), "stored", 6);
+    pager.flush();
+  }
+  PosixVfs::instance().open(journal, /*create=*/true);
+  FilePager pager(path);
+  EXPECT_FALSE(PosixVfs::instance().exists(journal));
+  EXPECT_EQ(std::memcmp(pager.pageForRead(1), "stored", 6), 0);
 }
 
 // --- direct WAL-level tests --------------------------------------------------
@@ -433,7 +433,7 @@ TEST(WalPager, StaleWalIsReplayedOnReopen) {
   EXPECT_TRUE(found);
 }
 
-TEST(WalPager, StaleWalIsReplayedEvenWhenReopenedInJournalMode) {
+TEST(WalPager, StaleWalIsReplayedEvenWhenReopenedWithoutWal) {
   // Recovery is unconditional: a store carrying committed WAL frames must
   // surface them no matter which durability mode the next opener uses.
   util::TempDir dir;
@@ -448,7 +448,7 @@ TEST(WalPager, StaleWalIsReplayedEvenWhenReopenedInJournalMode) {
     plan.fail_at_op = vfs.mutatingOps() + 1;
     vfs.setPlan(plan);
   }
-  FilePager pager(path, Durability::Full);
+  FilePager pager(path, Durability::None);
   EXPECT_TRUE(pager.recoveryStats().wal_replayed);
   EXPECT_FALSE(PosixVfs::instance().exists(FilePager::walPathFor(path)));
   bool found = false;

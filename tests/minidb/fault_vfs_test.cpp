@@ -137,7 +137,7 @@ TEST(FaultInjectingVfs, ShortReadSurfacesAsStorageErrorInFilePager) {
   FaultPlan plan;
   plan.short_read_at = 1;
   vfs.setPlan(plan);
-  EXPECT_THROW(FilePager(path, Durability::Full, &vfs), util::StorageError);
+  EXPECT_THROW(FilePager(path, Durability::Wal, &vfs), util::StorageError);
 }
 
 TEST(FaultInjectingVfs, ResetClearsCountersAndCrashFlag) {

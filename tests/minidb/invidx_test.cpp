@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -236,6 +237,76 @@ TEST_F(InvidxManagerTest, RidIndexCoversEveryRow) {
   EXPECT_EQ(idx->find(3)->size(), 2u);
   EXPECT_EQ(idx->find(4), nullptr);
   EXPECT_EQ(idx->rows(), 5u);
+}
+
+TEST_F(InvidxManagerTest, SnapshotReadersEachGetTheirCommittedVersion) {
+  // Pinned snapshots and the working state each probe the version they
+  // read: one build per committed version, shared with the working state,
+  // never a decline, and the old version retired once no pin can see it.
+  sql_.exec("CREATE TABLE probe (id INTEGER PRIMARY KEY, grp INTEGER, name TEXT)");
+  sql_.exec("CREATE INDEX probe_by_grp ON probe (grp)");
+  sql_.exec("BEGIN");
+  for (int i = 1; i <= 60; ++i) {
+    sql_.exec("INSERT INTO probe (grp, name) VALUES (" + std::to_string(i % 7) +
+              ", 'n" + std::to_string(i) + "')");
+  }
+  sql_.exec("COMMIT");
+  const char* q = "SELECT id, grp, name FROM probe WHERE grp IN (1, 3, 5) ORDER BY id";
+  const auto run = [&](const Pager::ReadSnapshot* snap, bool use_invidx) {
+    std::optional<Pager::SnapshotScope> scope;
+    if (snap != nullptr) scope.emplace(*snap);
+    sql_.setOption("invidx", use_invidx);
+    return sql_.exec(q);
+  };
+  const auto expectSame = [](const sql::ResultSet& a, const sql::ResultSet& b,
+                             const char* view) {
+    ASSERT_EQ(a.rows.size(), b.rows.size()) << view;
+    for (std::size_t r = 0; r < a.rows.size(); ++r) {
+      for (std::size_t c = 0; c < a.rows[r].size(); ++c) {
+        EXPECT_EQ(a.rows[r][c].compare(b.rows[r][c]), 0) << view << " row " << r;
+      }
+    }
+  };
+
+  Pager::ReadSnapshot s1 = db_->takeSnapshot();
+  const std::uint64_t builds0 = counters().builds.value();
+  const std::uint64_t probes0 = counters().probes.value();
+  const std::uint64_t fallbacks0 = counters().fallbacks.value();
+  const sql::ResultSet before = run(&s1, false);
+  expectSame(run(&s1, true), before, "S1 before the commit");
+
+  // One commit of inserts, deletes and updates, all moving the probed keys.
+  sql_.exec("BEGIN");
+  sql_.exec("INSERT INTO probe (grp, name) VALUES (1, 'fresh'), (3, 'fresh2')");
+  sql_.exec("DELETE FROM probe WHERE grp = 5 AND id < 30");
+  sql_.exec("UPDATE probe SET grp = 3 WHERE grp = 2");
+  sql_.exec("UPDATE probe SET name = 'renamed' WHERE grp = 1");
+  sql_.exec("COMMIT");
+  Pager::ReadSnapshot s2 = db_->takeSnapshot();
+
+  const sql::ResultSet at_s1 = run(&s1, false);
+  const sql::ResultSet at_s2 = run(&s2, false);
+  const sql::ResultSet working = run(nullptr, false);
+  expectSame(at_s1, before, "S1 is frozen");
+  EXPECT_NE(at_s2.rows.size(), at_s1.rows.size()) << "the commit moved no probed key";
+  expectSame(run(&s1, true), at_s1, "S1");
+  expectSame(run(&s2, true), at_s2, "S2");
+  expectSame(run(nullptr, true), working, "working state");
+  expectSame(working, at_s2, "working state after the commit");
+
+  EXPECT_GT(counters().probes.value(), probes0);
+  EXPECT_EQ(counters().fallbacks.value(), fallbacks0);
+  // S1's version and S2's; the working state shares S2's build.
+  EXPECT_EQ(counters().builds.value(), builds0 + 2);
+
+  // With S1 released, the next commit to the table retires S1's version.
+  s1.release();
+  const std::int64_t lists_before = counters().lists.value();
+  sql_.exec("BEGIN");
+  sql_.exec("INSERT INTO probe (grp, name) VALUES (6, 'later')");
+  sql_.exec("COMMIT");
+  EXPECT_LT(counters().lists.value(), lists_before);
+  expectSame(run(&s2, true), at_s2, "S2 after the retirement");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Differential SQL fuzzing: the literal path vs the prepared path vs the
-// streaming cursor path vs the batch cursor path, plus a rollback-journal
+// streaming cursor path vs the batch cursor path, plus an in-place (None)
 // vs WAL durability differential over the same statement stream
 // (DurabilityFuzz below).
 //
@@ -341,100 +341,101 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlFuzz,
                          ::testing::Values(1u, 2u, 3u, 17u, 20260805u));
 
-// Durability differential: the same seeded statement stream against a
-// rollback-journal store and a WAL store (file-backed, tiny autocheckpoint
-// so the log folds mid-stream). The two commit paths share nothing below
-// the pager — undo images + in-place flush vs redo frames + snapshot
-// publish + checkpoint — so any divergence in results, table contents, or
+// Durability differential: the same seeded statement stream against an
+// in-place store (Durability::None, file-backed) and a WAL store (tiny
+// autocheckpoint so the log folds mid-stream). The two persistence paths
+// share nothing below the pager — in-place page writes vs redo frames +
+// checkpoint folds — so any divergence in results, table contents, or
 // post-reopen state is a bug in one of them.
 class DurabilityFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(DurabilityFuzz, JournalAndWalStoresAgree) {
+TEST_P(DurabilityFuzz, InPlaceAndWalStoresAgree) {
   util::TempDir tmp;
-  const std::string journal_path = tmp.file("journal.db").string();
+  const std::string inplace_path = tmp.file("inplace.db").string();
   const std::string wal_path = tmp.file("wal.db").string();
-  OpenOptions journal_options;  // Durability::Full
+  OpenOptions inplace_options;
+  inplace_options.durability = Durability::None;
   OpenOptions wal_options;
   wal_options.durability = Durability::Wal;
   wal_options.wal_autocheckpoint = 16;
 
-  auto db_j = Database::open(journal_path, journal_options);
+  auto db_p = Database::open(inplace_path, inplace_options);
   auto db_w = Database::open(wal_path, wal_options);
-  Engine jrn(*db_j);
+  Engine inp(*db_p);
   Engine wal(*db_w);
   const char* ddl =
       "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT, r REAL)";
-  jrn.exec(ddl);
+  inp.exec(ddl);
   wal.exec(ddl);
 
   FuzzGen gen(GetParam());
   int in_txn = 0;
   for (int step = 0; step < 300; ++step) {
     if (in_txn == 0 && gen.rng().chance(0.2)) {
-      db_j->begin();
+      db_p->begin();
       db_w->begin();
       in_txn = static_cast<int>(gen.rng().uniformInt(3, 10));
     } else if (in_txn > 0 && --in_txn == 0) {
       if (gen.rng().chance(0.33)) {
-        db_j->rollback();
+        db_p->rollback();
         db_w->rollback();
       } else {
-        db_j->commit();
+        db_p->commit();
         db_w->commit();
       }
     }
 
     const GenStmt g = gen.next();
-    std::optional<ResultSet> rj, rw;
-    std::string err_j, err_w;
+    std::optional<ResultSet> rp, rw;
+    std::string err_p, err_w;
     try {
-      rj = jrn.exec(g.literal);
+      rp = inp.exec(g.literal);
     } catch (const util::PTError& e) {
-      err_j = e.what();
+      err_p = e.what();
     }
     try {
       rw = wal.exec(g.literal);
     } catch (const util::PTError& e) {
       err_w = e.what();
     }
-    ASSERT_EQ(rj.has_value(), rw.has_value())
-        << "one durability mode errored: journal=[" << err_j << "] wal=["
+    ASSERT_EQ(rp.has_value(), rw.has_value())
+        << "one durability mode errored: in-place=[" << err_p << "] wal=["
         << err_w << "] for: " << g.literal;
-    if (rj) {
-      expectSameResult(*rj, *rw, g.literal);
+    if (rp) {
+      expectSameResult(*rp, *rw, g.literal);
     } else {
-      EXPECT_EQ(err_j, err_w) << "error text diverged for: " << g.literal;
+      EXPECT_EQ(err_p, err_w) << "error text diverged for: " << g.literal;
     }
 
     if (step % 40 == 39) {
       const char* all = "SELECT id, k, v, r FROM t ORDER BY id";
-      expectSameResult(jrn.exec(all), wal.exec(all), all);
-      EXPECT_TRUE(db_j->verifyIntegrity().empty());
+      expectSameResult(inp.exec(all), wal.exec(all), all);
+      EXPECT_TRUE(db_p->verifyIntegrity().empty());
       EXPECT_TRUE(db_w->verifyIntegrity().empty());
     }
   }
   if (in_txn > 0) {
-    db_j->commit();
+    db_p->commit();
     db_w->commit();
   }
 
-  // Close both stores and reopen: the on-disk state (journal's in-place
-  // pages vs WAL's close-time checkpoint fold) must read back identically,
-  // and the clean WAL close must leave no log behind.
-  db_j.reset();
+  // Close both stores and reopen: the on-disk state (in-place pages vs
+  // WAL's close-time checkpoint fold) must read back identically, and the
+  // clean WAL close must leave no log behind.
+  db_p.reset();
   db_w.reset();
   EXPECT_FALSE(std::filesystem::exists(wal_path + ".wal"));
-  db_j = Database::open(journal_path, journal_options);
+  db_p = Database::open(inplace_path, inplace_options);
   db_w = Database::open(wal_path, wal_options);
-  EXPECT_FALSE(db_j->recoveryStats().recovered);
+  EXPECT_FALSE(db_p->recoveryStats().wal_replayed);
   EXPECT_FALSE(db_w->recoveryStats().wal_replayed);
-  Engine jrn2(*db_j);
+  Engine inp2(*db_p);
   Engine wal2(*db_w);
   const char* all = "SELECT id, k, v, r FROM t ORDER BY id";
-  const ResultSet fin = jrn2.exec(all);
+  const ResultSet fin = inp2.exec(all);
   expectSameResult(fin, wal2.exec(all), all);
   EXPECT_GT(fin.rows.size(), 40u) << "workload degenerated; generator is off";
-  EXPECT_TRUE(db_j->verifyIntegrity().empty());
+  EXPECT_TRUE(db_p->verifyIntegrity().empty());
   EXPECT_TRUE(db_w->verifyIntegrity().empty());
 }
 

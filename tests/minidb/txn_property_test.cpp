@@ -100,37 +100,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TxnProperty,
                          ::testing::Values(11u, 222u, 3333u, 44444u));
 
 // Durability differential: the same random transaction interleavings
-// replayed against a rollback-journal store and a WAL store, both
-// file-backed. The journal undoes aborted work from saved before-images;
-// the WAL never writes aborted work and publishes committed snapshots —
-// after every sequence both must hold exactly the model's committed state,
-// including after a close/reopen of each store.
+// replayed against an in-place store (Durability::None) and a WAL store,
+// both file-backed. The in-place store writes every commit over the db
+// file; the WAL store appends redo frames and folds them back at
+// checkpoints — after every sequence both must hold exactly the model's
+// committed state, including after a close/reopen of each store.
 class TxnDurability : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(TxnDurability, JournalAndWalReplaysMatchTheModel) {
+TEST_P(TxnDurability, InPlaceAndWalReplaysMatchTheModel) {
   util::TempDir tmp;
-  const std::string journal_path = tmp.file("journal.db").string();
+  const std::string inplace_path = tmp.file("inplace.db").string();
   const std::string wal_path = tmp.file("wal.db").string();
-  OpenOptions journal_options;  // Durability::Full
+  OpenOptions inplace_options;
+  inplace_options.durability = Durability::None;
   OpenOptions wal_options;
   wal_options.durability = Durability::Wal;
   wal_options.wal_autocheckpoint = 8;  // fold the log mid-sequence
 
-  auto db_j = Database::open(journal_path, journal_options);
+  auto db_p = Database::open(inplace_path, inplace_options);
   auto db_w = Database::open(wal_path, wal_options);
-  Engine jrn(*db_j);
+  Engine inp(*db_p);
   Engine wal(*db_w);
-  for (Engine* e : {&jrn, &wal}) {
+  for (Engine* e : {&inp, &wal}) {
     e->execScript(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT);"
         "CREATE INDEX t_by_k ON t (k);");
   }
   auto both = [&](const std::string& stmt) {
-    const ResultSet rj = jrn.exec(stmt);
+    const ResultSet rp = inp.exec(stmt);
     const ResultSet rw = wal.exec(stmt);
-    EXPECT_EQ(rj.rows_affected, rw.rows_affected) << stmt;
-    EXPECT_EQ(rj.last_insert_id, rw.last_insert_id) << stmt;
-    return rj;
+    EXPECT_EQ(rp.rows_affected, rw.rows_affected) << stmt;
+    EXPECT_EQ(rp.last_insert_id, rw.last_insert_id) << stmt;
+    return rp;
   };
 
   util::Rng rng(GetParam());
@@ -173,13 +174,13 @@ TEST_P(TxnDurability, JournalAndWalReplaysMatchTheModel) {
 
     if (step % 50 == 49) {
       const char* all = "SELECT id, k, v FROM t ORDER BY id";
-      const ResultSet rj = jrn.exec(all);
+      const ResultSet rp = inp.exec(all);
       const ResultSet rw = wal.exec(all);
-      ASSERT_EQ(rj.rows.size(), working.size()) << "journal twin, step " << step;
+      ASSERT_EQ(rp.rows.size(), working.size()) << "in-place twin, step " << step;
       ASSERT_EQ(rw.rows.size(), working.size()) << "wal twin, step " << step;
       std::size_t i = 0;
       for (const auto& [id, kv] : working) {
-        for (const ResultSet* rs : {&rj, &rw}) {
+        for (const ResultSet* rs : {&rp, &rw}) {
           ASSERT_EQ(rs->rows[i][0].asInt(), id);
           ASSERT_EQ(rs->rows[i][1].asInt(), kv.first);
           ASSERT_EQ(rs->rows[i][2].asText(), kv.second);
@@ -190,25 +191,25 @@ TEST_P(TxnDurability, JournalAndWalReplaysMatchTheModel) {
   }
   if (in_txn) both("ROLLBACK");
 
-  EXPECT_TRUE(db_j->verifyIntegrity().empty());
+  EXPECT_TRUE(db_p->verifyIntegrity().empty());
   EXPECT_TRUE(db_w->verifyIntegrity().empty());
 
   // Reopen both stores: the committed model state must have survived each
   // mode's own persistence path (in-place flush vs checkpoint fold).
-  db_j.reset();
+  db_p.reset();
   db_w.reset();
-  db_j = Database::open(journal_path, journal_options);
+  db_p = Database::open(inplace_path, inplace_options);
   db_w = Database::open(wal_path, wal_options);
-  Engine jrn2(*db_j);
+  Engine inp2(*db_p);
   Engine wal2(*db_w);
   const char* all = "SELECT id, k, v FROM t ORDER BY id";
-  const ResultSet rj = jrn2.exec(all);
+  const ResultSet rp = inp2.exec(all);
   const ResultSet rw = wal2.exec(all);
-  ASSERT_EQ(rj.rows.size(), committed.size());
+  ASSERT_EQ(rp.rows.size(), committed.size());
   ASSERT_EQ(rw.rows.size(), committed.size());
   std::size_t i = 0;
   for (const auto& [id, kv] : committed) {
-    for (const ResultSet* rs : {&rj, &rw}) {
+    for (const ResultSet* rs : {&rp, &rw}) {
       ASSERT_EQ(rs->rows[i][0].asInt(), id);
       ASSERT_EQ(rs->rows[i][1].asInt(), kv.first);
       ASSERT_EQ(rs->rows[i][2].asText(), kv.second);

@@ -23,6 +23,7 @@
 #include "server/net.h"
 #include "server/protocol.h"
 #include "util/error.h"
+#include "util/tempdir.h"
 
 namespace perftrack {
 namespace {
@@ -216,7 +217,7 @@ TEST_F(ServerTest, SetUseIndexesIsSessionScoped) {
 TEST_F(ServerTest, SizeBytesAndRecoveryStats) {
   auto conn = connect();
   EXPECT_GT(conn->sizeBytes(), 0u);
-  EXPECT_FALSE(conn->recoveryStats().recovered);
+  EXPECT_FALSE(conn->recoveryStats().wal_replayed);
   EXPECT_THROW(conn->database(), util::SqlError);
 }
 
@@ -249,29 +250,36 @@ TEST_F(ServerTest, StatReportsSessionsCursorsAndUptime) {
   EXPECT_EQ(stat.open_cursors, 0u);
 }
 
-TEST(ServerStatFile, ReportsDbFileAndJournalSizes) {
-  const std::string path = ::testing::TempDir() + "/pt_stat_file_test.db";
-  std::remove(path.c_str());
-  std::remove((path + "-journal").c_str());
-  auto db = minidb::Database::open(path);
-  server::ServerConfig config;
-  config.port = 0;
-  server::PtServer srv(*db, config);
-  srv.start();
-  {
-    auto conn = dbal::RemoteConnection::connect(
-        "127.0.0.1:" + std::to_string(srv.boundPort()));
-    conn->exec("CREATE TABLE t (v INTEGER)");
-    conn->exec("INSERT INTO t VALUES (1)");
-    const dbal::ServerStat stat = conn->serverStat();
-    ASSERT_TRUE(stat.extended);
-    EXPECT_GT(stat.db_file_bytes, 0u);
-    // Between commits the rollback journal is truncated/removed.
-    EXPECT_EQ(stat.journal_bytes, 0u);
-    EXPECT_EQ(stat.db_file_bytes, stat.size_bytes);
+TEST(ServerStatFile, ReportsDbFileAndWalSizes) {
+  // WAL (the default): commits land in the log, not the db file. None:
+  // commits rewrite the db file in place, so it holds the whole store.
+  for (const minidb::Durability durability :
+       {minidb::Durability::Wal, minidb::Durability::None}) {
+    util::TempDir tmp;
+    minidb::OpenOptions options;
+    options.durability = durability;
+    auto db = minidb::Database::open(tmp.file("stat.db").string(), options);
+    server::ServerConfig config;
+    config.port = 0;
+    server::PtServer srv(*db, config);
+    srv.start();
+    {
+      auto conn = dbal::RemoteConnection::connect(
+          "127.0.0.1:" + std::to_string(srv.boundPort()));
+      conn->exec("CREATE TABLE t (v INTEGER)");
+      conn->exec("INSERT INTO t VALUES (1)");
+      const dbal::ServerStat stat = conn->serverStat();
+      ASSERT_TRUE(stat.extended);
+      EXPECT_GT(stat.size_bytes, 0u);
+      if (durability == minidb::Durability::Wal) {
+        EXPECT_GT(stat.wal_bytes, sizeof(minidb::WalHeader));
+      } else {
+        EXPECT_EQ(stat.wal_bytes, 0u);
+        EXPECT_EQ(stat.db_file_bytes, stat.size_bytes);
+      }
+    }
+    srv.stop();
   }
-  srv.stop();
-  std::remove(path.c_str());
 }
 
 TEST_F(ServerTest, MetricsVerbReturnsLiveCounters) {

@@ -1,17 +1,20 @@
 // Server-level WAL isolation: snapshot reads over the wire protocol while
 // remote writers commit through the group-commit path. Runs under
-// ThreadSanitizer via the `wal`/`server` labels (scripts/ci.sh tsan).
+// ThreadSanitizer via the `wal` label (scripts/ci.sh tsan).
 //
 // The embedded half of this matrix lives in tests/minidb/snapshot_test.cpp;
 // here the full client → frame → session → DbGate → pager path is live:
 //   * a streaming cursor pins one committed version and drains it unchanged
 //     while a writer commits generation after generation around it;
-//   * an open reader cursor does not make a writer BUSY (WAL mode swaps the
-//     exclusive gate for writer-writer exclusion), and the writer's commits
-//     do not stall the readers;
+//   * an open reader cursor does not make a writer BUSY (DML takes only
+//     writer-writer exclusion), and the writer's commits do not stall the
+//     readers;
 //   * a cursor stays consistent across WAL auto-checkpoints (tiny threshold
 //     forces folds between its FETCH batches);
-//   * every scan sees MIN(g) == MAX(g): one whole committed generation.
+//   * every scan sees MIN(g) == MAX(g): one whole committed generation;
+//   * IN-probes under snapshots take the inverted-index path while writers
+//     commit to the probed table, and equal the B-tree path's answer under
+//     the same snapshot.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +27,8 @@
 #include "dbal/connection.h"
 #include "dbal/remote.h"
 #include "minidb/database.h"
+#include "minidb/invidx/manager.h"
+#include "minidb/sql/executor.h"
 #include "server/server.h"
 #include "util/tempdir.h"
 
@@ -112,8 +117,8 @@ TEST_F(WalIsolationTest, OpenReaderCursorDoesNotBlockAWriter) {
   ASSERT_TRUE(cur.next(row));
   EXPECT_EQ(row[0].asInt(), 0);
 
-  // In journal mode this UPDATE would be BUSY until the cursor closed (the
-  // exclusive gate waits out readers). In WAL mode it must land first try.
+  // DML waits only for other writers, never for readers: this UPDATE must
+  // land first try while the cursor is open.
   ASSERT_NO_THROW(writer->exec("UPDATE t SET g = 1"));
 
   // ... and the cursor keeps draining generation 0, to the last row.
@@ -185,6 +190,87 @@ TEST_F(WalIsolationTest, ConcurrentScansEachSeeOneCommittedGeneration) {
   writer.join();
   for (auto& t : readers) t.join();
   EXPECT_GE(scans.load(), kReaders);
+}
+
+TEST_F(WalIsolationTest, InvidxProbesUnderSnapshotsMatchTheBtreePathWhileWritersCommit) {
+  {
+    auto setup = Connection::open(url_);
+    setup->exec("CREATE TABLE p (id INTEGER PRIMARY KEY, k INTEGER, g INTEGER)");
+    setup->exec("CREATE INDEX p_by_k ON p (k)");
+    std::string values;
+    for (int i = 0; i < 300; ++i) {
+      values += (i ? ", (" : "(") + std::to_string(i % 30) + ", 0)";
+    }
+    setup->exec("INSERT INTO p (k, g) VALUES " + values);
+  }
+  auto& c = minidb::invidx::counters();
+  const std::uint64_t probes0 = c.probes.value();
+  const std::uint64_t fallbacks0 = c.fallbacks.value();
+
+  // Writers: every commit inserts, deletes or moves rows of the probed keys.
+  constexpr int kWriters = 2;
+  constexpr int kCommitsPerWriter = 30;
+  std::atomic<int> writers_left{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      auto conn = Connection::open(url_);
+      for (int i = 0; i < kCommitsPerWriter; ++i) {
+        const std::string k = std::to_string((w * 7 + i) % 30);
+        const std::string sql =
+            i % 3 == 0 ? "INSERT INTO p (k, g) VALUES (" + k + ", " + std::to_string(i) + ")"
+            : i % 3 == 1 ? "DELETE FROM p WHERE id = " + std::to_string(1 + w * 100 + i)
+                         : "UPDATE p SET k = " + k + " WHERE id = " +
+                               std::to_string(150 + w * 50 + i);
+        withBusyRetry([&] { conn->exec(sql); });
+      }
+      writers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+
+  // In-process snapshot readers: the same probe on the posting path and on
+  // the B-tree path, both under one pinned snapshot, must agree.
+  const char* probe = "SELECT id, k, g FROM p WHERE k IN (1, 4, 9, 16, 25) ORDER BY id";
+  std::atomic<int> compared{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      minidb::sql::Engine fast(*db_);
+      minidb::sql::Engine btree(*db_);
+      btree.setOption("invidx", false);
+      auto compareOnce = [&] {
+        const minidb::Pager::ReadSnapshot snap = db_->takeSnapshot();
+        const minidb::Pager::SnapshotScope scope(snap);
+        const auto a = fast.exec(probe);
+        const auto b = btree.exec(probe);
+        ASSERT_EQ(a.rows.size(), b.rows.size()) << "at commit seq " << snap.seq();
+        for (std::size_t i = 0; i < a.rows.size(); ++i) {
+          for (std::size_t col = 0; col < 3; ++col) {
+            ASSERT_EQ(a.rows[i][col].compare(b.rows[i][col]), 0)
+                << "at commit seq " << snap.seq() << ", row " << i;
+          }
+        }
+        compared.fetch_add(1, std::memory_order_relaxed);
+      };
+      while (writers_left.load(std::memory_order_acquire) > 0) compareOnce();
+      compareOnce();
+    });
+  }
+  // A wire reader probes through the server's own snapshot sessions.
+  std::thread wire_reader([&] {
+    auto conn = Connection::open(url_);
+    while (writers_left.load(std::memory_order_acquire) > 0) {
+      const auto rs = conn->exec(probe);
+      EXPECT_GT(rs.rows.size(), 0u);
+    }
+  });
+
+  for (auto& t : writers) t.join();
+  for (auto& t : readers) t.join();
+  wire_reader.join();
+  EXPECT_GE(compared.load(), 2);
+  EXPECT_GT(c.probes.value(), probes0);
+  EXPECT_EQ(c.fallbacks.value(), fallbacks0) << "a snapshot probe declined the index";
 }
 
 }  // namespace
