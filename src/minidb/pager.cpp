@@ -64,32 +64,14 @@ const DbHeader* headerOf(const std::uint8_t* page0) {
   return reinterpret_cast<const DbHeader*>(page0);
 }
 
-std::uint64_t fnv1aSeed(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// First link of a WAL checksum chain: the offset basis mixed with the salt,
-/// so frames surviving from an earlier WAL generation can never validate.
+/// First link of a WAL checksum chain: the FNV-1a offset basis mixed with
+/// the salt's bytes, so frames surviving from an earlier WAL generation can
+/// never validate.
 std::uint64_t walSeed(std::uint64_t salt) {
-  return fnv1aSeed(14695981039346656037ULL, &salt, sizeof(salt));
-}
-
-/// Next link: previous frame's checksum folded with this frame's header
-/// fields and page image. A frame checksums correctly only if every frame
-/// before it did too, which is what lets recovery stop at the first torn
-/// byte and keep the prefix. The link function depends on the log's version.
-///
-/// Version 1 link: byte-serial FNV-1a over the header fields, then the image.
-std::uint64_t walChainFnv1a(std::uint64_t chain, std::uint32_t page_id,
-                            std::uint32_t commit_page_count, const std::uint8_t* image) {
-  std::uint64_t h = fnv1aSeed(chain, &page_id, sizeof(page_id));
-  h = fnv1aSeed(h, &commit_page_count, sizeof(commit_page_count));
-  return fnv1aSeed(h, image, kPageSize);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&salt);
+  std::uint64_t h = 14695981039346656037ULL;
+  for (std::size_t i = 0; i < sizeof(salt); ++i) h = (h ^ p[i]) * 1099511628211ULL;
+  return h;
 }
 
 constexpr std::uint64_t kXxP1 = 11400714785074694791ULL;
@@ -111,7 +93,11 @@ std::uint64_t xxMerge(std::uint64_t h, std::uint64_t lane) {
   return (h ^ xxRound(0, lane)) * kXxP1 + kXxP4;
 }
 
-/// Version 2 link: XXH64, seeded by the previous link, of the page image
+/// Next link: previous frame's checksum folded with this frame's header
+/// fields and page image. A frame checksums correctly only if every frame
+/// before it did too, which is what lets recovery stop at the first torn
+/// byte and keep the prefix. The link is XXH64, seeded by the previous link,
+/// of the page image
 /// followed by the 8-byte {page_id, commit_page_count} word (on a
 /// little-endian host, exactly the bytes of the two header fields). Four
 /// independent lanes consume the image a word at a time, so a frame hashes
@@ -536,17 +522,16 @@ void FilePager::recoverWal() {
   const bool header_ok =
       wsize >= sizeof(WalHeader) && wf->read(0, &wh, sizeof(wh)) == sizeof(wh) &&
       wh.magic == kWalMagic;
-  if (header_ok && ((wh.version != kWalVersion && wh.version != kWalVersionFnv1a) ||
-                    wh.page_size != kPageSize)) {
+  if (header_ok && (wh.version != kWalVersion || wh.page_size != kPageSize)) {
     throw StorageError("FilePager: " + wal_path_ + " has WAL format version " +
                        std::to_string(wh.version) + " with " +
                        std::to_string(wh.page_size) +
-                       "-byte pages; this build replays versions " +
-                       std::to_string(kWalVersionFnv1a) + " and " +
+                       "-byte pages; this build replays only version " +
                        std::to_string(kWalVersion) + " with " +
-                       std::to_string(kPageSize) + "-byte pages");
+                       std::to_string(kPageSize) +
+                       "-byte pages (open the store once with the build that "
+                       "wrote the log to fold it, then reopen it here)");
   }
-  const auto link = wh.version == kWalVersionFnv1a ? walChainFnv1a : walChain;
 
   // Walk the checksum chain frame by frame. Frames accumulate into the
   // pending transaction; a commit-marker frame folds the pending set into
@@ -568,7 +553,7 @@ void FilePager::recoverWal() {
       WalFrameHeader fh;
       std::memcpy(&fh, frame.data(), sizeof(fh));
       const std::uint64_t want =
-          link(chain, fh.page_id, fh.commit_page_count, frame.data() + sizeof(fh));
+          walChain(chain, fh.page_id, fh.commit_page_count, frame.data() + sizeof(fh));
       if (want != fh.checksum) {
         tail_discarded = true;
         break;

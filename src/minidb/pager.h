@@ -22,8 +22,8 @@
 //
 // Durability::Wal (the default, and the one crash-safe mode) commits through
 // a write-ahead log (`<db>.wal`): flush() appends the dirty pages as frames
-// whose checksums chain (each one seeds the next; version 2 hashes with
-// XXH64, version-1 logs with FNV-1a still replay), staged and written
+// whose XXH64 checksums chain (each one seeds the next; a log of any other
+// format version is refused, not replayed), staged and written
 // ~1 MiB per call; the last frame of each commit carries the new page count
 // and acts as the commit marker. So a commit never rewrites the database
 // file and a crash at any point leaves a committed prefix — recovery replays
@@ -99,10 +99,10 @@ struct WalFrameHeader {
 };
 
 inline constexpr std::uint32_t kWalMagic = 0x5054574C;  // "PTWL"
-/// The WAL format this build writes: XXH64-chained frame checksums.
+/// The one WAL format this build writes and replays: XXH64-chained frame
+/// checksums. A log of another version (1 was a byte-serial FNV-1a chain) is
+/// refused with a StorageError naming the file and its version.
 inline constexpr std::uint32_t kWalVersion = 2;
-/// The earlier format (byte-serial FNV-1a chain); recovery still replays it.
-inline constexpr std::uint32_t kWalVersionFnv1a = 1;
 inline constexpr std::size_t kWalFrameSize = sizeof(WalFrameHeader) + kPageSize;
 /// Frames assembled per WAL write (~1 MiB): a commit of N frames makes
 /// ceil(N / kWalStageFrames) write calls before its one fsync.

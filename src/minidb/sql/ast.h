@@ -106,17 +106,6 @@ struct InsertStmt {
   std::vector<std::vector<ExprPtr>> rows;
 };
 
-struct UpdateStmt {
-  std::string table;
-  std::vector<std::pair<std::string, ExprPtr>> assignments;
-  ExprPtr where;
-};
-
-struct DeleteStmt {
-  std::string table;
-  ExprPtr where;
-};
-
 struct CreateTableStmt {
   std::string table;
   bool if_not_exists = false;
@@ -153,11 +142,14 @@ struct Statement {
   bool explain_analyze = false;  // EXPLAIN ANALYZE: run, then emit annotated plan
   int param_count = 0;           // number of '?' placeholders across the statement
 
-  // Exactly one of these is populated, matching `kind`.
+  // Exactly one of these is populated, matching `kind`. UPDATE and DELETE
+  // populate `select` with the rows they change, so the SELECT planner finds
+  // those rows and binds their expressions:
+  //   DELETE FROM t WHERE w            is  SELECT * FROM t WHERE w
+  //   UPDATE t SET c = e, ... WHERE w  is  SELECT e AS c, ... FROM t WHERE w
+  // (one item per SET assignment, aliased by the column it assigns).
   std::unique_ptr<SelectStmt> select;
   std::unique_ptr<InsertStmt> insert;
-  std::unique_ptr<UpdateStmt> update;
-  std::unique_ptr<DeleteStmt> del;
   std::unique_ptr<CreateTableStmt> create_table;
   std::unique_ptr<CreateIndexStmt> create_index;
   std::unique_ptr<DropStmt> drop;

@@ -50,6 +50,13 @@ std::uint64_t approxRowBytes(const Row& row) {
   return n;
 }
 
+/// EXPLAIN output: one single-column row per plan line.
+std::vector<Row> planRows(std::vector<std::string> lines) {
+  std::vector<Row> rows;
+  for (std::string& line : lines) rows.push_back({Value(std::move(line))});
+  return rows;
+}
+
 }  // namespace
 
 bool Engine::setOption(std::string_view name, std::int64_t value) {
@@ -321,7 +328,7 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
                      " is unbound");
     }
   }
-  if (stmt_->kind != Statement::Kind::Select) {
+  if (stmt_->kind != Statement::Kind::Select && !stmt_->explain) {
     throw SqlError("openCursor: statement is not a SELECT");
   }
   // One cursor per statement: the bindings live in the shared AST, so a
@@ -336,7 +343,6 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
   if (snapshot.valid()) snap_scope.emplace(snapshot);
   const bool traced = obs::Tracer::global().shouldSample();
   std::uint64_t bind_us = 0;
-  std::uint64_t plan_us = 0;
   if (stmt_->param_count > 0) {
     if (traced) {
       const obs::StageTimer t;
@@ -346,21 +352,8 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
       bindParamValues(*stmt_, params_);
     }
   }
+  const std::uint64_t plan_us = refreshPlan();
   Database& db = *engine_->db_;
-  if (!plan_ || plan_->epoch != db.schemaEpoch() ||
-      plan_->use_indexes != engine_->opts_.use_indexes ||
-      plan_->invidx != engine_->opts_.invidx) {
-    if (plan_) sqlCounters().plan_revalidations.inc();
-    if (traced) {
-      const obs::StageTimer t;
-      plan_ = std::make_shared<SelectPlan>(buildSelectPlan(
-          db, *stmt_->select, engine_->opts_.use_indexes, engine_->opts_.invidx));
-      plan_us = t.elapsedUs();
-    } else {
-      plan_ = std::make_shared<SelectPlan>(buildSelectPlan(
-          db, *stmt_->select, engine_->opts_.use_indexes, engine_->opts_.invidx));
-    }
-  }
   sqlCounters().queries.inc();
   auto impl = std::make_shared<CursorImpl>();
   impl->db = &db;
@@ -384,12 +377,8 @@ Cursor PreparedStatement::openCursorInternal(Pager::ReadSnapshot snapshot) {
     impl->columns = {"plan"};
     // EXPLAIN ANALYZE runs the statement to exhaustion under a scoped pin;
     // either way the cursor steps text lines and is pin-free, so it is safe
-    // to stream over the wire.
-    for (std::string& line : stmt_->explain_analyze
-                                 ? explainAnalyzePipeline(db, *plan_, exec_opts)
-                                 : explainPipeline(db, *plan_, exec_opts)) {
-      impl->explain_rows.push_back({Value(std::move(line))});
-    }
+    // to stream over the wire. EXPLAIN UPDATE/DELETE changes nothing.
+    impl->explain_rows = planRows(explainPlan(db, *stmt_, *plan_, exec_opts));
   } else {
     // Subqueries run before the pin is taken (they open their own scans).
     materializePlanSubqueries(db, *plan_);
@@ -410,7 +399,7 @@ ResultSet PreparedStatement::execute() {
       throw SqlError("execute: parameter " + std::to_string(i + 1) + " is unbound");
     }
   }
-  if (stmt_->kind == Statement::Kind::Select) {
+  if (stmt_->kind == Statement::Kind::Select || stmt_->explain) {
     // The materializing wrapper: open a cursor and drain it batch-at-a-time.
     Cursor cur = openCursor();
     ResultSet rs;
@@ -419,9 +408,14 @@ ResultSet PreparedStatement::execute() {
     return rs;
   }
   sqlCounters().queries.inc();
+  // UPDATE and DELETE run on the cached plan of their row source.
+  const bool dml =
+      stmt_->kind == Statement::Kind::Update || stmt_->kind == Statement::Kind::Delete;
   if (!obs::Tracer::global().shouldSample()) {
     if (stmt_->param_count > 0) bindParamValues(*stmt_, params_);
-    return engine_->exec(*stmt_);
+    if (!dml) return engine_->exec(*stmt_);
+    refreshPlan();
+    return engine_->execDml(*stmt_, *plan_);
   }
   obs::QueryTrace t;
   t.sql = sql_;
@@ -431,13 +425,28 @@ ResultSet PreparedStatement::execute() {
     bindParamValues(*stmt_, params_);
     t.bind_us = bt.elapsedUs();
   }
+  if (dml) t.plan_us = refreshPlan();
   const obs::StageTimer et;
-  ResultSet rs = engine_->exec(*stmt_);
+  ResultSet rs = dml ? engine_->execDml(*stmt_, *plan_) : engine_->exec(*stmt_);
   t.exec_us = et.elapsedUs();
   t.rows = static_cast<std::uint64_t>(rs.rows_affected);
   sqlCounters().query_ms.observe(static_cast<double>(t.totalUs()) / 1000.0);
   obs::Tracer::global().record(std::move(t));
   return rs;
+}
+
+std::uint64_t PreparedStatement::refreshPlan() {
+  Database& db = *engine_->db_;
+  const ExecOptions& opts = engine_->opts_;
+  if (plan_ && plan_->epoch == db.schemaEpoch() && plan_->use_indexes == opts.use_indexes &&
+      plan_->invidx == opts.invidx) {
+    return 0;
+  }
+  if (plan_) sqlCounters().plan_revalidations.inc();
+  const obs::StageTimer t;
+  plan_ = std::make_shared<SelectPlan>(
+      buildSelectPlan(db, *stmt_->select, opts.use_indexes, opts.invidx));
+  return t.elapsedUs();
 }
 
 ResultSet PreparedStatement::execute(std::vector<Value> params) {
@@ -519,8 +528,19 @@ ResultSet Engine::execScript(std::string_view script) {
 ResultSet Engine::exec(const Statement& stmt) {
   switch (stmt.kind) {
     case Statement::Kind::Select:
-      return execSelect(*db_, *stmt.select, opts_.use_indexes, stmt.explain,
-                        stmt.explain_analyze, opts_);
+    case Statement::Kind::Update:
+    case Statement::Kind::Delete: {
+      SelectPlan plan =
+          buildSelectPlan(*db_, *stmt.select, opts_.use_indexes, opts_.invidx);
+      if (stmt.explain) {
+        ResultSet rs;
+        rs.columns = {"plan"};
+        rs.rows = planRows(explainPlan(*db_, stmt, plan, opts_));
+        return rs;
+      }
+      if (stmt.kind == Statement::Kind::Select) return execSelectPlan(*db_, plan, opts_);
+      return execDml(stmt, plan);
+    }
 
     case Statement::Kind::Insert: {
       const InsertStmt& ins = *stmt.insert;
@@ -549,69 +569,6 @@ ResultSet Engine::exec(const Statement& stmt) {
         }
         rs.last_insert_id = db_->insertRow(def->name, std::move(row));
         rs.rows_affected++;
-      }
-      return rs;
-    }
-
-    case Statement::Kind::Update: {
-      const UpdateStmt& upd = *stmt.update;
-      const TableDef* def = db_->catalog().findTable(upd.table);
-      if (def == nullptr) throw SqlError("no such table: " + upd.table);
-      std::vector<SelectPlan::FromEntry> from{{def, def->name}};
-      Binder binder(from);
-      if (upd.where) {
-        binder.bind(*const_cast<Expr*>(upd.where.get()));
-        materializeSubqueries(const_cast<Expr*>(upd.where.get()), *db_, opts_.use_indexes);
-      }
-      std::vector<std::pair<int, const Expr*>> assigns;
-      for (const auto& [name, expr] : upd.assignments) {
-        const int c = def->columnIndex(name);
-        if (c < 0) throw SqlError("no column '" + name + "' in " + upd.table);
-        binder.bind(*const_cast<Expr*>(expr.get()));
-        assigns.emplace_back(c, expr.get());
-      }
-      // Collect matches first, then mutate (index/heap iterators must not
-      // observe our own writes).
-      std::vector<std::pair<RecordId, Row>> matches;
-      db_->scan(def->name, [&](RecordId rid, const Row& row) {
-        Tuple tuple{&row};
-        if (!upd.where || truthy(evaluate(*upd.where, tuple))) {
-          matches.emplace_back(rid, row);
-        }
-        return true;
-      });
-      ResultSet rs;
-      for (auto& [rid, row] : matches) {
-        Row updated = row;
-        Tuple tuple{&row};
-        for (const auto& [c, expr] : assigns) {
-          updated[c] = evaluate(*expr, tuple);
-        }
-        db_->updateRow(def->name, rid, updated);
-        rs.rows_affected++;
-      }
-      return rs;
-    }
-
-    case Statement::Kind::Delete: {
-      const DeleteStmt& del = *stmt.del;
-      const TableDef* def = db_->catalog().findTable(del.table);
-      if (def == nullptr) throw SqlError("no such table: " + del.table);
-      std::vector<SelectPlan::FromEntry> from{{def, def->name}};
-      Binder binder(from);
-      if (del.where) {
-        binder.bind(*const_cast<Expr*>(del.where.get()));
-        materializeSubqueries(const_cast<Expr*>(del.where.get()), *db_, opts_.use_indexes);
-      }
-      std::vector<RecordId> victims;
-      db_->scan(def->name, [&](RecordId rid, const Row& row) {
-        Tuple tuple{&row};
-        if (!del.where || truthy(evaluate(*del.where, tuple))) victims.push_back(rid);
-        return true;
-      });
-      ResultSet rs;
-      for (RecordId rid : victims) {
-        if (db_->eraseRow(def->name, rid)) rs.rows_affected++;
       }
       return rs;
     }
@@ -663,6 +620,35 @@ ResultSet Engine::exec(const Statement& stmt) {
       return {};
   }
   throw SqlError("internal: bad statement kind");
+}
+
+ResultSet Engine::execDml(const Statement& stmt, SelectPlan& plan) {
+  const TableDef& def = *plan.from[0].def;
+  std::vector<int> assigned;  // UPDATE: the column each SET item writes
+  if (stmt.kind == Statement::Kind::Update) {
+    for (const SelectPlan::OutputCol& out : plan.outputs) {
+      const int c = def.columnIndex(out.name);
+      if (c < 0) throw SqlError("no column '" + out.name + "' in " + def.name);
+      assigned.push_back(c);
+    }
+  }
+  // Collect first, then mutate: the access path is closed before the first
+  // write, so it never sees this statement's own changes.
+  ResultSet rs;
+  for (auto& [rid, row] : collectTargetRows(*db_, plan)) {
+    if (stmt.kind == Statement::Kind::Delete) {
+      if (db_->eraseRow(def.name, rid)) rs.rows_affected++;
+      continue;
+    }
+    Row updated = row;
+    const Tuple tuple{&row};
+    for (std::size_t i = 0; i < assigned.size(); ++i) {
+      updated[assigned[i]] = evaluate(*plan.outputs[i].expr, tuple);
+    }
+    db_->updateRow(def.name, rid, updated);
+    rs.rows_affected++;
+  }
+  return rs;
 }
 
 }  // namespace perftrack::minidb::sql

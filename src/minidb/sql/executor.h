@@ -14,12 +14,17 @@
 // result, and exec()/execute() are thin wrappers that drain a cursor into a
 // ResultSet. EXPLAIN returns the operator tree, one line per operator.
 //
+// UPDATE and DELETE are planned the same way: the parser stores each as the
+// one-table SELECT of the rows it changes, so they find those rows through
+// the same access paths, collect them, and only then write.
+//
 // prepare() compiles a statement once into a PreparedStatement that can be
-// bound and executed repeatedly without re-lexing or re-parsing. SELECT
-// plans (resolved tables, conjuncts, access paths) are cached inside the
-// PreparedStatement and revalidated against Database::schemaEpoch() and the
-// engine's use_indexes/invidx options, so DDL or ablation flips trigger a
-// cheap replan instead of returning stale plans.
+// bound and executed repeatedly without re-lexing or re-parsing. SELECT,
+// UPDATE and DELETE plans (resolved tables, conjuncts, access paths) are
+// cached inside the PreparedStatement and revalidated against
+// Database::schemaEpoch() and the engine's use_indexes/invidx options, so
+// DDL or ablation flips trigger a cheap replan instead of returning stale
+// plans.
 #pragma once
 
 #include <memory>
@@ -149,13 +154,17 @@ class PreparedStatement {
   friend class Engine;
   PreparedStatement(Engine& engine, std::string sql);
   Cursor openCursorInternal(Pager::ReadSnapshot snapshot);
+  /// Rebuilds the cached plan when it is missing or was built under another
+  /// schema epoch or use_indexes/invidx setting; returns the microseconds
+  /// spent planning (0 on a cache hit).
+  std::uint64_t refreshPlan();
 
   Engine* engine_;
   std::string sql_;
   std::shared_ptr<Statement> stmt_;   // shared with cursors opened from here
   std::vector<Value> params_;
   std::vector<char> bound_;        // per-parameter "has been bound" flags
-  std::shared_ptr<SelectPlan> plan_;  // lazily built, epoch-validated
+  std::shared_ptr<SelectPlan> plan_;  // SELECT/UPDATE/DELETE row source, epoch-validated
   std::shared_ptr<char> busy_token_;  // nonzero while a cursor is open
   std::uint64_t parse_us_ = 0;     // parse span, consumed by the first execution
 };
@@ -196,6 +205,9 @@ class Engine {
 
  private:
   friend class PreparedStatement;
+
+  /// Runs an UPDATE or DELETE on `plan`, the plan of its row source.
+  ResultSet execDml(const Statement& stmt, SelectPlan& plan);
 
   Database* db_;
   ExecOptions opts_;

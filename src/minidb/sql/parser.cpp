@@ -50,12 +50,9 @@ class Parser {
     } else if (t.isKeyword("INSERT")) {
       stmt.kind = Statement::Kind::Insert;
       stmt.insert = std::make_unique<InsertStmt>(parseInsert());
-    } else if (t.isKeyword("UPDATE")) {
-      stmt.kind = Statement::Kind::Update;
-      stmt.update = std::make_unique<UpdateStmt>(parseUpdate());
-    } else if (t.isKeyword("DELETE")) {
-      stmt.kind = Statement::Kind::Delete;
-      stmt.del = std::make_unique<DeleteStmt>(parseDelete());
+    } else if (t.isKeyword("UPDATE") || t.isKeyword("DELETE")) {
+      stmt.kind = t.isKeyword("UPDATE") ? Statement::Kind::Update : Statement::Kind::Delete;
+      stmt.select = std::make_unique<SelectStmt>(parseDml());
     } else if (t.isKeyword("CREATE")) {
       next();
       const bool unique = accept("UNIQUE");
@@ -89,6 +86,10 @@ class Parser {
     if (peek().type != TokenType::End) fail("trailing input after statement");
     if (stmt.explain_analyze && stmt.kind != Statement::Kind::Select) {
       fail("EXPLAIN ANALYZE supports only SELECT statements");
+    }
+    if (stmt.explain && stmt.kind != Statement::Kind::Select &&
+        stmt.kind != Statement::Kind::Update && stmt.kind != Statement::Kind::Delete) {
+      fail("EXPLAIN supports only SELECT, UPDATE and DELETE statements");
     }
     stmt.param_count = param_count_;
     return stmt;
@@ -255,27 +256,28 @@ class Parser {
     return ins;
   }
 
-  UpdateStmt parseUpdate() {
-    expect("UPDATE");
-    UpdateStmt upd;
-    upd.table = identifier("table name");
-    expect("SET");
-    do {
-      std::string column = identifier("column name");
-      expectSymbol("=");
-      upd.assignments.emplace_back(std::move(column), parseExpr());
-    } while (acceptSymbol(","));
-    if (accept("WHERE")) upd.where = parseExpr();
-    return upd;
-  }
-
-  DeleteStmt parseDelete() {
-    expect("DELETE");
-    expect("FROM");
-    DeleteStmt del;
-    del.table = identifier("table name");
-    if (accept("WHERE")) del.where = parseExpr();
-    return del;
+  /// UPDATE t SET c = e, ... [WHERE w] as SELECT e AS c, ... FROM t [WHERE w];
+  /// DELETE FROM t [WHERE w] as SELECT * FROM t [WHERE w].
+  SelectStmt parseDml() {
+    const bool del = accept("DELETE");
+    expect(del ? "FROM" : "UPDATE");
+    SelectStmt sel;
+    TableRef& ref = sel.from.emplace_back();
+    ref.table = identifier("table name");
+    ref.alias = ref.table;
+    if (del) {
+      sel.items.emplace_back();  // '*'
+    } else {
+      expect("SET");
+      do {
+        SelectItem& item = sel.items.emplace_back();
+        item.alias = identifier("column name");
+        expectSymbol("=");
+        item.expr = parseExpr();
+      } while (acceptSymbol(","));
+    }
+    if (accept("WHERE")) sel.where = parseExpr();
+    return sel;
   }
 
   CreateTableStmt parseCreateTable() {

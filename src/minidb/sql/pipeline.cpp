@@ -187,6 +187,24 @@ Value evalConst(const Expr& e) {
 // Binding / analysis
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Resolves column references against a plan's FROM list.
+class Binder {
+ public:
+  explicit Binder(const std::vector<SelectPlan::FromEntry>& from) : from_(from) {}
+
+  /// Resolves column references; records the highest table index referenced.
+  /// Returns -1 for expressions with no column references.
+  int bind(Expr& e) const;
+
+ private:
+  void bindInner(Expr& e, int& max_table) const;
+  void resolve(Expr& e) const;
+
+  const std::vector<SelectPlan::FromEntry>& from_;
+};
+
 int Binder::bind(Expr& e) const {
   int max_table = -1;
   bindInner(e, max_table);
@@ -233,8 +251,6 @@ void Binder::resolve(Expr& e) const {
   e.bound_col = found_col;
   e.bound_flat = found_flat;
 }
-
-namespace {
 
 void collectConjuncts(Expr* e, std::vector<Expr*>& out) {
   if (e == nullptr) return;
@@ -307,19 +323,14 @@ void forEachExpr(SelectStmt& sel, const std::function<void(Expr&)>& fn) {
 void forEachExpr(Statement& stmt, const std::function<void(Expr&)>& fn) {
   switch (stmt.kind) {
     case Statement::Kind::Select:
+    case Statement::Kind::Update:
+    case Statement::Kind::Delete:
       forEachExpr(*stmt.select, fn);
       break;
     case Statement::Kind::Insert:
       for (auto& row : stmt.insert->rows) {
         for (ExprPtr& e : row) forEachExpr(e.get(), fn);
       }
-      break;
-    case Statement::Kind::Update:
-      for (auto& [name, e] : stmt.update->assignments) forEachExpr(e.get(), fn);
-      forEachExpr(stmt.update->where.get(), fn);
-      break;
-    case Statement::Kind::Delete:
-      forEachExpr(stmt.del->where.get(), fn);
       break;
     default:
       break;  // DDL/Txn/Vacuum carry no expressions
@@ -523,6 +534,10 @@ bool emitBuffered(KeyedRows& rows, std::size_t& pos, std::size_t cap, std::size_
 // Subquery materialization and plan construction
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Runs every uncorrelated IN (SELECT ...) subquery below `e` and caches the
+/// first-column values for membership tests.
 void materializeSubqueries(Expr* e, Database& db, bool use_indexes) {
   if (e == nullptr) return;
   if (e->kind == Expr::Kind::InSelect) {
@@ -531,8 +546,8 @@ void materializeSubqueries(Expr* e, Database& db, bool use_indexes) {
     ExecOptions opts = processOptions();
     opts.degree = 1;
     opts.invidx = false;
-    const ResultSet rs = execSelect(db, *e->subquery, use_indexes, /*explain=*/false,
-                                    /*analyze=*/false, opts);
+    SelectPlan plan = buildSelectPlan(db, *e->subquery, use_indexes);
+    const ResultSet rs = execSelectPlan(db, plan, opts);
     auto values = std::make_shared<std::set<std::string>>();
     for (const Row& row : rs.rows) {
       if (row.empty() || row[0].isNull()) continue;  // NULL never matches IN
@@ -548,6 +563,8 @@ void materializeSubqueries(Expr* e, Database& db, bool use_indexes) {
     materializeSubqueries(item.get(), db, use_indexes);
   }
 }
+
+}  // namespace
 
 void materializePlanSubqueries(Database& db, SelectPlan& plan) {
   // A FROM-less SELECT never materializes (mirrors the historical early
@@ -1029,10 +1046,12 @@ class SlotIter {
     const detail::OpTick tick(stats_);
     doOpen();
   }
-  bool next(Row& out) {
-    if (!stats_.timed) return doNext(out);
+  /// Row pull: the next row and its RecordId (the heap slot UPDATE and
+  /// DELETE change).
+  bool next(RecordId& rid, Row& out) {
+    if (!stats_.timed) return doNext(rid, out);
     const detail::OpTick tick(stats_);
-    const bool ok = doNext(out);
+    const bool ok = doNext(rid, out);
     if (ok) ++stats_.rows;
     return ok;
   }
@@ -1067,15 +1086,16 @@ class SlotIter {
 
  protected:
   virtual void doOpen() = 0;
-  virtual bool doNext(Row& out) = 0;
+  virtual bool doNext(RecordId& rid, Row& out) = 0;
   /// Default adapter: loops doNext(), transposing rows into the batch's
   /// columns (Value moves, so string payloads are stolen, not copied).
   /// FilterIter overrides it to compact the selection vector instead.
   virtual bool doNextBatch(RowBatch& b) {
     b.clearRows();
     const std::size_t cap = b.capacity > 0 ? b.capacity : 1;
+    RecordId rid;
     Row row;
-    while (b.nrows < cap && doNext(row)) {
+    while (b.nrows < cap && doNext(rid, row)) {
       b.appendMoveValues(row);
       row.clear();
     }
@@ -1098,8 +1118,7 @@ class SeqScanIter : public SlotIter {
     produced_ = 0;
     cur_.emplace(db_->openCursor(entry_->def->name));
   }
-  bool doNext(Row& out) override {
-    RecordId rid;
+  bool doNext(RecordId& rid, Row& out) override {
     if (!cur_ || !cur_->next(rid, out)) return false;
     ++produced_;
     return true;
@@ -1130,8 +1149,7 @@ class IndexEqualIter : public SlotIter {
       cur_.emplace(db_->openIndexEqual(*path_->index, {key}));
     }
   }
-  bool doNext(Row& out) override {
-    RecordId rid;
+  bool doNext(RecordId& rid, Row& out) override {
     if (!cur_ || !cur_->next(rid, out)) return false;
     ++produced_;
     return true;
@@ -1175,8 +1193,7 @@ class IndexInListIter : public SlotIter {
                             }),
                 keys_.end());
   }
-  bool doNext(Row& out) override {
-    RecordId rid;
+  bool doNext(RecordId& rid, Row& out) override {
     for (;;) {
       if (cur_ && cur_->next(rid, out)) {
         ++produced_;
@@ -1249,14 +1266,14 @@ class PostingInListIter : public SlotIter {
       invidx::counters().fallbacks.inc();
     }
   }
-  bool doNext(Row& out) override {
+  bool doNext(RecordId& rid, Row& out) override {
     for (;;) {
       if (index_) {
         if (pcur_ && pcur_->valid()) {
           const std::uint64_t packed = pcur_->value();
           pcur_->next();
-          const RecordId rid{static_cast<PageId>(packed >> 16),
-                             static_cast<std::uint16_t>(packed & 0xffff)};
+          rid = {static_cast<PageId>(packed >> 16),
+                 static_cast<std::uint16_t>(packed & 0xffff)};
           std::optional<Row> row = db_->readRow(entry_->def->name, rid);
           if (!row) continue;  // defensive: a valid index has no dangling rids
           out = std::move(*row);
@@ -1276,7 +1293,6 @@ class PostingInListIter : public SlotIter {
         continue;
       }
       // B-tree fallback, identical to IndexInListIter.
-      RecordId rid;
       if (cur_ && cur_->next(rid, out)) {
         ++produced_;
         return true;
@@ -1333,8 +1349,7 @@ class IndexRangeIter : public SlotIter {
                                      path_->lower_inclusive, std::move(upper),
                                      path_->upper_inclusive));
   }
-  bool doNext(Row& out) override {
-    RecordId rid;
+  bool doNext(RecordId& rid, Row& out) override {
     if (!cur_ || !cur_->next(rid, out)) return false;
     ++produced_;
     return true;
@@ -1389,8 +1404,8 @@ class FilterIter : public SlotIter {
     produced_ = 0;
     child_->open();
   }
-  bool doNext(Row& out) override {
-    while (child_->next(out)) {
+  bool doNext(RecordId& rid, Row& out) override {
+    while (child_->next(rid, out)) {
       (*tuple_)[slot_] = &out;
       bool pass = true;
       for (const Expr* e : conjuncts_) {
@@ -1546,6 +1561,10 @@ class NestedLoop {
     closeImpl();
   }
 
+  /// Table 0's scan/probe and filter chain (collectTargetRows drives it
+  /// row at a time, for the rids).
+  SlotIter& level0() { return *levels_[0].top; }
+
   /// Arms EXPLAIN ANALYZE accounting on the loop and every SlotIter chain.
   void setAnalyze(bool on) {
     stats_.timed = on;
@@ -1677,6 +1696,7 @@ class NestedLoop {
       openLevel(1);
       t = 1;
     }
+    RecordId rid;  // inner levels join rows; their rids go unused
     while (t >= 1) {
       Level& lv = levels_[static_cast<std::size_t>(t)];
       if (lv.null_pending) {
@@ -1686,7 +1706,7 @@ class NestedLoop {
           t = ascend(t);
           continue;
         }
-      } else if (lv.top->next(lv.row)) {
+      } else if (lv.top->next(rid, lv.row)) {
         tuple_[static_cast<std::size_t>(t)] = &lv.row;
       } else {
         if (lv.left_join && !lv.null_done && lv.matched_stage->produced() == 0) {
@@ -2356,7 +2376,7 @@ class MorselFedIter : public SlotIter {
 
  protected:
   void doOpen() override { produced_ = 0; }
-  bool doNext(Row&) override {
+  bool doNext(RecordId&, Row&) override {
     throw SqlError("internal: morsel-fed scans are batch-only");
   }
   bool doNextBatch(RowBatch& b) override {
@@ -2926,20 +2946,17 @@ Pipeline buildPipeline(Database& db, SelectPlan& plan, const ExecOptions& opts) 
   return p;
 }
 
-std::vector<std::string> explainPipeline(Database& db, SelectPlan& plan,
-                                         const ExecOptions& opts) {
-  const Pipeline p = buildPipeline(db, plan, opts);
+std::vector<std::string> explainPlan(Database& db, const Statement& stmt, SelectPlan& plan,
+                                     const ExecOptions& opts) {
   std::vector<std::string> lines;
-  p.root->describe(lines, 0);
-  return lines;
-}
-
-std::vector<std::string> explainAnalyzePipeline(Database& db, SelectPlan& plan,
-                                                const ExecOptions& opts) {
-  materializePlanSubqueries(db, plan);
+  if (stmt.kind != Statement::Kind::Select) {
+    NestedLoop(db, plan, 1).describe(lines, 0);
+    return lines;
+  }
+  if (stmt.explain_analyze) materializePlanSubqueries(db, plan);
   Pipeline p = buildPipeline(db, plan, opts);
-  p.root->setAnalyze(true);
-  {
+  if (stmt.explain_analyze) {
+    p.root->setAnalyze(true);
     const Database::CursorPin pin = db.pinCursor();
     p.root->open();
     RowBatch batch;
@@ -2948,9 +2965,21 @@ std::vector<std::string> explainAnalyzePipeline(Database& db, SelectPlan& plan,
     }
     p.root->close();
   }
-  std::vector<std::string> lines;
   p.root->describe(lines, 0);
   return lines;
+}
+
+std::vector<std::pair<RecordId, Row>> collectTargetRows(Database& db, SelectPlan& plan) {
+  materializePlanSubqueries(db, plan);
+  NestedLoop loop(db, plan, 1);
+  SlotIter& chain = loop.level0();
+  std::vector<std::pair<RecordId, Row>> rows;
+  RecordId rid;
+  Row row;
+  chain.open();
+  while (chain.next(rid, row)) rows.emplace_back(rid, std::move(row));
+  chain.close();
+  return rows;
 }
 
 void drainBatches(const std::function<bool(RowBatch&)>& fetch, std::vector<Row>& rows) {
@@ -2965,19 +2994,10 @@ void drainBatches(const std::function<bool(RowBatch&)>& fetch, std::vector<Row>&
   }
 }
 
-ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
-                         bool analyze, const ExecOptions& opts) {
-  ResultSet rs;
-  if (explain) {
-    rs.columns = {"plan"};
-    for (std::string& line : analyze ? explainAnalyzePipeline(db, plan, opts)
-                                     : explainPipeline(db, plan, opts)) {
-      rs.rows.push_back({Value(std::move(line))});
-    }
-    return rs;
-  }
+ResultSet execSelectPlan(Database& db, SelectPlan& plan, const ExecOptions& opts) {
   materializePlanSubqueries(db, plan);
   Pipeline p = buildPipeline(db, plan, opts);
+  ResultSet rs;
   rs.columns = std::move(p.columns);
   p.root->open();
   drainBatches(
@@ -2988,15 +3008,6 @@ ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
       rs.rows);
   p.root->close();
   return rs;
-}
-
-ResultSet execSelect(Database& db, const SelectStmt& sel_const, bool use_indexes,
-                     bool explain, bool analyze, const ExecOptions& opts) {
-  // The binding pass annotates expressions in place; the annotations are
-  // rewritten by every plan build, so sharing the AST across plans is safe.
-  auto& sel = const_cast<SelectStmt&>(sel_const);
-  SelectPlan plan = buildSelectPlan(db, sel, use_indexes, opts.invidx);
-  return execSelectPlan(db, plan, explain, analyze, opts);
 }
 
 }  // namespace perftrack::minidb::sql

@@ -42,6 +42,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "minidb/database.h"
@@ -173,27 +174,6 @@ struct SelectPlan {
   std::vector<char> sole_column;
 };
 
-/// Resolves column references against a FROM list; used by the SELECT
-/// planner and by the single-table UPDATE/DELETE paths.
-class Binder {
- public:
-  explicit Binder(const std::vector<SelectPlan::FromEntry>& from) : from_(from) {}
-
-  /// Resolves column references; records the highest table index referenced.
-  /// Returns -1 for expressions with no column references.
-  int bind(Expr& e) const;
-
- private:
-  void bindInner(Expr& e, int& max_table) const;
-  void resolve(Expr& e) const;
-
-  const std::vector<SelectPlan::FromEntry>& from_;
-};
-
-/// Runs every uncorrelated IN (SELECT ...) subquery below `e` and caches the
-/// first-column values for membership tests.
-void materializeSubqueries(Expr* e, Database& db, bool use_indexes);
-
 /// Resolves tables, binds expressions, splits conjuncts, and picks one
 /// access path per FROM entry. Annotates the AST in place (bound_table /
 /// bound_col / agg_slot); the produced plan is valid while the database's
@@ -319,31 +299,28 @@ Pipeline buildPipeline(Database& db, SelectPlan& plan,
 /// execution; their contents may have changed between runs).
 void materializePlanSubqueries(Database& db, SelectPlan& plan);
 
-/// EXPLAIN text: the operator tree, one line per operator, root first,
-/// children indented two spaces per level.
-std::vector<std::string> explainPipeline(Database& db, SelectPlan& plan,
-                                         const ExecOptions& opts);
+/// EXPLAIN [ANALYZE] text of a statement's plan, one line per operator,
+/// root first, children indented two spaces per level. A SELECT shows its
+/// operator tree; under EXPLAIN ANALYZE it first runs to exhaustion (under a
+/// cursor pin) with per-operator accounting armed, and each line carries its
+/// actuals. An UPDATE or DELETE shows the chain collectTargetRows drives.
+std::vector<std::string> explainPlan(Database& db, const Statement& stmt, SelectPlan& plan,
+                                     const ExecOptions& opts);
 
-/// EXPLAIN ANALYZE: runs the plan to exhaustion (under a cursor pin) with
-/// per-operator accounting armed, discards the rows, and returns the
-/// annotated operator tree, one line per operator.
-std::vector<std::string> explainAnalyzePipeline(Database& db, SelectPlan& plan,
-                                                const ExecOptions& opts);
+/// The rows an UPDATE or DELETE changes: materializes the plan's subqueries,
+/// then drives the table-0 chain of its one-table plan (access path plus
+/// FILTER conjuncts, as the nested loop builds it) row at a time and returns
+/// every passing row with its RecordId, in access-path order and each row
+/// once. The chain is closed before this returns, so the caller mutates
+/// only after every read.
+std::vector<std::pair<RecordId, Row>> collectTargetRows(Database& db, SelectPlan& plan);
 
 /// Moves every live row of each batch `fetch` yields into `rows`: the one
 /// SELECT drain loop behind exec() and PreparedStatement::execute().
 void drainBatches(const std::function<bool(RowBatch&)>& fetch, std::vector<Row>& rows);
 
-/// Runs a previously built plan to completion (the thin materializing
-/// wrapper the exec() entry points use). With `explain` set the result is
-/// the operator tree instead, annotated with actuals when `analyze` is set
-/// (EXPLAIN ANALYZE), one line per row.
-ResultSet execSelectPlan(Database& db, SelectPlan& plan, bool explain,
-                         bool analyze, const ExecOptions& opts);
-
-/// Plans and runs one SELECT (annotates the AST in place; the annotations
-/// are rewritten by every plan build, so sharing the AST is safe).
-ResultSet execSelect(Database& db, const SelectStmt& sel_const, bool use_indexes,
-                     bool explain, bool analyze, const ExecOptions& opts);
+/// Runs a SELECT plan to completion into a ResultSet: the materializing
+/// wrapper behind Engine::exec() and IN (SELECT ...) subqueries.
+ResultSet execSelectPlan(Database& db, SelectPlan& plan, const ExecOptions& opts);
 
 }  // namespace perftrack::minidb::sql

@@ -20,7 +20,8 @@
 //
 //   HELLO   {u32 version}                 -> HELLO_OK {u32 version, str server}
 //   PREPARE {str sql}                     -> STMT_OK  {u32 stmt_id, u32 params,
-//                                                      u8 kind}
+//                                                      u8 kind (SELECT for
+//                                                      any EXPLAIN)}
 //   EXECUTE {u32 stmt_id, u32 max_rows,   -> RESULT_OK {i64 affected, i64 last_id}
 //            u32 n, value...}                (DML/DDL), or
 //                                            CURSOR_OK {u32 cursor_id, u32 ncols,

@@ -14,7 +14,10 @@ namespace {
 
 using minidb::sql::Statement;
 
-bool isReadKind(Statement::Kind kind) { return kind == Statement::Kind::Select; }
+/// SELECT, and EXPLAIN of anything: both answer with rows and write nothing.
+bool isRead(const Statement& stmt) {
+  return stmt.kind == Statement::Kind::Select || stmt.explain;
+}
 
 bool isTxnKind(Statement::Kind kind) { return kind == Statement::Kind::Txn; }
 
@@ -151,7 +154,10 @@ Frame Session::doPrepare(WireReader& r) {
   WireWriter w;
   w.u32(id);
   w.u32(static_cast<std::uint32_t>(stmt->paramCount()));
-  w.u8(static_cast<std::uint8_t>(stmt->kind()));
+  // An EXPLAIN answers with rows like a SELECT, so clients may open cursors
+  // on it whatever statement it describes.
+  w.u8(static_cast<std::uint8_t>(isRead(stmt->statement()) ? Statement::Kind::Select
+                                                           : stmt->kind()));
   return makeFrame(Op::StmtOk, std::move(w));
 }
 
@@ -174,7 +180,7 @@ Frame Session::doExecute(WireReader& r) {
   // values (they reach the AST when a cursor opens), so staging is safe
   // even while a cursor is streaming this statement.
   stmt->bindAll(std::move(params));
-  if (isReadKind(stmt->kind())) return executeSelect(stmt, max_rows);
+  if (isRead(stmt->statement())) return executeSelect(stmt, max_rows);
   return executeWrite(stmt);
 }
 

@@ -814,7 +814,7 @@ MemVfs::Image baseStore(std::vector<PageBuf>* pages) {
 std::vector<std::uint8_t> v1Log(const std::vector<PageBuf>& base,
                                 std::vector<PageBuf>* after) {
   const std::uint64_t salt = 77;
-  const WalHeader wh{kWalMagic, kWalVersionFnv1a, kPageSize, 0, salt};
+  const WalHeader wh{kWalMagic, /*version=*/1, kPageSize, 0, salt};
   std::vector<std::uint8_t> wal(sizeof(wh));
   std::memcpy(wal.data(), &wh, sizeof(wh));
   std::uint64_t chain = 14695981039346656037ULL;
@@ -829,23 +829,31 @@ std::vector<std::uint8_t> v1Log(const std::vector<PageBuf>& base,
   return wal;
 }
 
-TEST(WalPager, VersionOneLogStillReplays) {
+TEST(WalPager, VersionOneLogIsRefusedAndTouchesNothing) {
   std::vector<PageBuf> base;
   MemVfs::Image image = baseStore(&base);
   std::vector<PageBuf> after;
   image[kMemWal] = v1Log(base, &after);
-  RecoveryStats stats;
-  EXPECT_TRUE(recoveredPages(image, &stats) == after);
-  EXPECT_TRUE(stats.wal_replayed);
-  EXPECT_FALSE(stats.discarded_invalid_wal);
-  EXPECT_EQ(stats.wal_frames_applied, 1u);
+  MemVfs vfs(image);
+  try {
+    FilePager pager(kMemDb, Durability::Wal, &vfs, 0);
+    ADD_FAILURE() << "opened beside a version-1 log";
+  } catch (const util::StorageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(kMemWal), std::string::npos) << what;
+    EXPECT_NE(what.find("WAL format version 1 "), std::string::npos) << what;
+  }
+  // Its commits are neither replayed nor discarded: db and log are as found.
+  EXPECT_TRUE(vfs.image() == image);
+  EXPECT_TRUE(vfs.image().at(kMemDb) == image.at(kMemDb));
+  EXPECT_TRUE(vfs.image().at(kMemWal) == image.at(kMemWal));
 
-  // The version picks the hash: the same frames under a version-2 header
-  // do not validate.
+  // The same frames under a version-2 header do not validate.
   WalHeader wh{};
   std::memcpy(&wh, image[kMemWal].data(), sizeof(wh));
   wh.version = kWalVersion;
   std::memcpy(image[kMemWal].data(), &wh, sizeof(wh));
+  RecoveryStats stats;
   EXPECT_TRUE(recoveredPages(image, &stats) == base);
   EXPECT_FALSE(stats.wal_replayed);
   EXPECT_TRUE(stats.discarded_invalid_wal);

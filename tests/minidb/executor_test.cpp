@@ -332,5 +332,115 @@ TEST_F(ExecutorTest, ResultSetToTextRendersAllRows) {
   EXPECT_NE(text.find("16"), std::string::npos);
 }
 
+/// UPDATE and DELETE find their rows through the SELECT planner's access
+/// paths. Each case runs once in autocommit and once inside BEGIN ...
+/// ROLLBACK (the parameter), where the rollback must restore every row.
+class DmlAccessPathTest : public ::testing::TestWithParam<bool> {
+ protected:
+  DmlAccessPathTest() : db_(Database::openMemory()), sql_(*db_) {
+    sql_.exec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)");
+    sql_.exec("CREATE INDEX t_by_k ON t (k)");
+    sql_.exec("INSERT INTO t (k, v) VALUES (1, 'a'), (1, 'b'), (2, 'c'), (2, 'd'), "
+              "(3, 'e'), (4, 'f'), (5, 'g')");
+    original_ = contents();
+  }
+
+  void SetUp() override {
+    if (GetParam()) db_->begin();
+  }
+
+  void TearDown() override {
+    if (!GetParam()) return;
+    db_->rollback();
+    EXPECT_EQ(contents(), original_);
+  }
+
+  std::vector<Row> contents() { return sql_.exec("SELECT id, k, v FROM t ORDER BY id").rows; }
+
+  std::vector<std::int64_t> column(const std::string& sql) {
+    std::vector<std::int64_t> out;
+    for (const Row& row : sql_.exec(sql).rows) out.push_back(row[0].asInt());
+    return out;
+  }
+
+  std::string explain(const std::string& sql) { return planText(sql_.exec("EXPLAIN " + sql)); }
+
+  std::unique_ptr<Database> db_;
+  Engine sql_;
+  std::vector<Row> original_;
+};
+
+TEST_P(DmlAccessPathTest, RangeUpdateOfTheKeyChangesEachMatchOnce) {
+  EXPECT_NE(explain("UPDATE t SET k = k + 100 WHERE k >= 2").find("t_by_k (k range)"),
+            std::string::npos);
+  PreparedStatement stmt = sql_.prepare("UPDATE t SET k = k + 100 WHERE k >= ?");
+  // Moved keys land inside the scanned range: they must not be seen again.
+  EXPECT_EQ(stmt.execute({Value(2)}).rows_affected, 5);
+  EXPECT_EQ(column("SELECT k FROM t ORDER BY id"),
+            (std::vector<std::int64_t>{1, 1, 102, 102, 103, 104, 105}));
+}
+
+TEST_P(DmlAccessPathTest, PrimaryKeyUpdateMovesTheRowOnce) {
+  EXPECT_NE(explain("UPDATE t SET id = id + 1000 WHERE id = 3")
+                .find("SEARCH t AS t USING INDEX t__pk (id=?)"),
+            std::string::npos);
+  PreparedStatement stmt = sql_.prepare("UPDATE t SET id = id + 1000 WHERE id = ?");
+  EXPECT_EQ(stmt.execute({Value(3)}).rows_affected, 1);
+  EXPECT_EQ(column("SELECT id FROM t ORDER BY id"),
+            (std::vector<std::int64_t>{1, 2, 4, 5, 6, 7, 1003}));
+  EXPECT_EQ(column("SELECT k FROM t WHERE id = 1003"), (std::vector<std::int64_t>{2}));
+  EXPECT_EQ(stmt.execute({Value(3)}).rows_affected, 0);
+}
+
+TEST_P(DmlAccessPathTest, InListUpdateOnAnIntegerKeyUsesPostings) {
+  EXPECT_NE(explain("UPDATE t SET k = k + 10 WHERE k IN (1, 3, 1)")
+                .find("USING POSTING INDEX (k IN posting-list probe, 3 keys)"),
+            std::string::npos);
+  PreparedStatement stmt = sql_.prepare("UPDATE t SET k = k + 10 WHERE k IN (?, ?, ?)");
+  EXPECT_EQ(stmt.execute({Value(1), Value(3), Value(1)}).rows_affected, 3);
+  EXPECT_EQ(column("SELECT k FROM t ORDER BY id"),
+            (std::vector<std::int64_t>{11, 11, 2, 2, 13, 4, 5}));
+}
+
+TEST_P(DmlAccessPathTest, DeleteWithDuplicateInListKeysDeletesEachRowOnce) {
+  const ResultSet rs = sql_.exec("DELETE FROM t WHERE k IN (1, 1, 2)");
+  EXPECT_EQ(rs.rows_affected, 4);
+  EXPECT_EQ(column("SELECT id FROM t ORDER BY id"), (std::vector<std::int64_t>{5, 6, 7}));
+  EXPECT_EQ(sql_.exec("DELETE FROM t WHERE k IN (1, 1, 2)").rows_affected, 0);
+}
+
+TEST_P(DmlAccessPathTest, ExplainOfDmlDescribesTheAccessPathAndChangesNothing) {
+  const ResultSet del = sql_.exec("EXPLAIN DELETE FROM t WHERE id = 2");
+  EXPECT_EQ(del.columns, (std::vector<std::string>{"plan"}));
+  EXPECT_EQ(del.rows_affected, 0);
+  EXPECT_NE(planText(del).find("SEARCH t AS t USING INDEX t__pk (id=?)"), std::string::npos)
+      << planText(del);
+  PreparedStatement upd = sql_.prepare("EXPLAIN UPDATE t SET v = ? WHERE id = ?");
+  const ResultSet plan = upd.execute({Value("z"), Value(2)});
+  EXPECT_NE(planText(plan).find("USING INDEX t__pk (id=?)"), std::string::npos);
+  // A cursor steps the same lines.
+  upd.bindAll({Value("z"), Value(2)});
+  Cursor cur = upd.openCursor();
+  Row row;
+  ASSERT_TRUE(cur.next(row));
+  EXPECT_EQ(row[0].asText(), plan.rows[0][0].asText());
+  cur.close();
+  EXPECT_NE(explain("DELETE FROM t WHERE v = 'a'").find("FILTER (1 conjunct)"),
+            std::string::npos);
+  EXPECT_EQ(contents(), original_);
+
+  EXPECT_THROW(sql_.exec("EXPLAIN INSERT INTO t (k) VALUES (1)"), util::SqlError);
+  EXPECT_THROW(sql_.exec("EXPLAIN CREATE INDEX t_by_v ON t (v)"), util::SqlError);
+  EXPECT_THROW(sql_.exec("EXPLAIN DROP TABLE t"), util::SqlError);
+  EXPECT_THROW(sql_.exec("EXPLAIN COMMIT"), util::SqlError);
+  EXPECT_THROW(sql_.exec("EXPLAIN ANALYZE UPDATE t SET k = 0"), util::SqlError);
+  EXPECT_EQ(contents(), original_);
+}
+
+INSTANTIATE_TEST_SUITE_P(AutocommitAndRollback, DmlAccessPathTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "InRolledBackTxn" : "Autocommit";
+                         });
+
 }  // namespace
 }  // namespace perftrack::minidb::sql

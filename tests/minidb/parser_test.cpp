@@ -133,14 +133,20 @@ TEST(Parser, InsertWithoutColumns) {
 TEST(Parser, UpdateStatement) {
   const Statement stmt = parseStatement("UPDATE t SET a = 1, b = b + 1 WHERE c = 'x'");
   ASSERT_EQ(stmt.kind, Statement::Kind::Update);
-  EXPECT_EQ(stmt.update->assignments.size(), 2u);
-  EXPECT_NE(stmt.update->where, nullptr);
+  // The row source: SELECT 1 AS a, b + 1 AS b FROM t WHERE c = 'x'.
+  ASSERT_EQ(stmt.select->items.size(), 2u);
+  EXPECT_EQ(stmt.select->items[1].alias, "b");
+  EXPECT_EQ(stmt.select->from.at(0).table, "t");
+  EXPECT_NE(stmt.select->where, nullptr);
 }
 
 TEST(Parser, DeleteStatement) {
   const Statement stmt = parseStatement("DELETE FROM t WHERE a = 1");
   ASSERT_EQ(stmt.kind, Statement::Kind::Delete);
-  EXPECT_NE(stmt.del->where, nullptr);
+  // The row source: SELECT * FROM t WHERE a = 1.
+  ASSERT_EQ(stmt.select->items.size(), 1u);
+  EXPECT_EQ(stmt.select->items[0].expr, nullptr);
+  EXPECT_NE(stmt.select->where, nullptr);
 }
 
 TEST(Parser, CreateTableWithPrimaryKey) {

@@ -3,25 +3,29 @@
 // vs WAL durability differential over the same statement stream
 // (DurabilityFuzz below).
 //
-// Four twin in-memory databases receive the same seeded random statement
+// Five twin in-memory databases receive the same seeded random statement
 // stream. One executes every statement with inlined literals through
 // Engine::exec; the second executes the parameterized form ('?'
 // placeholders) through prepare()/bind/execute; the third also prepares, but
 // drains every SELECT one row at a time through openCursor()/next(), the
 // cursor's row adapter over its own ramped batch pulls; the fourth drains
 // through fetchBatch() with a deliberately odd batch size (7) so every query
-// ends on a partial batch. The paths share the parser but diverge at
-// parameter substitution, plan caching, epoch revalidation, and (for the
-// cursor twins) the materializing wrapper vs the cursor's row adapter vs
-// direct batch pulls. Any divergence (different rows, different
+// ends on a partial batch; the fifth prepares with use_indexes = 0, so every
+// SELECT, UPDATE and DELETE reads through a SeqScan: the oracle for the
+// others' index paths. The paths share the parser but diverge at
+// parameter substitution, plan caching, epoch revalidation, access paths,
+// and (for the cursor twins) the materializing wrapper vs the cursor's row
+// adapter vs direct batch pulls. Any divergence (different rows, different
 // rows_affected, an error on one side only) is a bug in one of the paths.
 //
-// Statement mix: INSERT (with NULLs, negative ints, reals, text), UPDATE,
-// DELETE, point/range/IN SELECTs with ORDER BY, occasional CREATE/DROP
-// INDEX, transaction brackets with rollbacks, and deliberately invalid
-// statements (unknown table/column) that must fail identically on both
-// sides. Every 40 statements the full table contents and storage integrity
-// of both twins are compared.
+// Statement mix: INSERT (with NULLs, negative ints, reals, text); UPDATE and
+// DELETE by primary-key equality, by key comparisons and two-sided ranges,
+// by IN lists with duplicate and NULL keys, and by IN (SELECT ...), with
+// operands of any type; point/range/IN SELECTs with ORDER BY, occasional
+// CREATE/DROP INDEX, transaction brackets with rollbacks, and deliberately
+// invalid statements (unknown table/column) that must fail identically on
+// every path. Every 40 statements the full table contents and storage
+// integrity of the twins are compared.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -87,12 +91,63 @@ class FuzzGen {
     if (kind < 40) {  // INSERT
       g.parameterized = "INSERT INTO t (k, v, r) VALUES (?, ?, ?)";
       g.params = {Value(rng_.uniformInt(0, 9)), randomValue(), randomValue()};
-    } else if (kind < 55) {  // UPDATE
-      g.parameterized = "UPDATE t SET v = ? WHERE k " + comparator() + " ?";
-      g.params = {randomValue(), Value(rng_.uniformInt(0, 9))};
+    } else if (kind < 55) {  // UPDATE, one WHERE shape per access path
+      g.params = {randomValue()};
+      switch (rng_.uniformInt(0, 5)) {
+        case 0:
+          g.parameterized = "UPDATE t SET v = ? WHERE k " + comparator() + " ?";
+          g.params.push_back(key());
+          break;
+        case 1:  // primary-key equality
+          g.parameterized = "UPDATE t SET r = ?, v = v WHERE id = ?";
+          g.params.push_back(Value(rng_.uniformInt(1, 200)));
+          break;
+        case 2:  // IN list with duplicate and NULL keys
+          g.parameterized = "UPDATE t SET v = ? WHERE k IN (?, ?, ?)";
+          appendInKeys(g.params);
+          break;
+        case 3:  // two-sided range
+          g.parameterized = "UPDATE t SET r = ? WHERE k > ? AND k <= ?";
+          g.params.push_back(key());
+          g.params.push_back(key());
+          break;
+        case 4:
+          g.parameterized = "UPDATE t SET v = ? WHERE k IN (SELECT k FROM t WHERE v = ?)";
+          g.params.push_back(randomValue());
+          break;
+        default:  // moves keys inside the range it reads
+          g.parameterized = "UPDATE t SET k = ? WHERE k >= ?";
+          g.params = {Value(rng_.uniformInt(0, 9)), key()};
+          break;
+      }
     } else if (kind < 65) {  // DELETE (bounded so the table keeps growing)
-      g.parameterized = "DELETE FROM t WHERE k = ? AND id > ?";
-      g.params = {Value(rng_.uniformInt(0, 9)), Value(rng_.uniformInt(5, 200))};
+      const Value id_bound(rng_.uniformInt(5, 200));
+      switch (rng_.uniformInt(0, 4)) {
+        case 0:
+          g.parameterized = "DELETE FROM t WHERE k = ? AND id > ?";
+          g.params = {key(), id_bound};
+          break;
+        case 1:  // primary-key equality
+          g.parameterized = "DELETE FROM t WHERE id = ?";
+          g.params = {Value(rng_.uniformInt(1, 300))};
+          break;
+        case 2:
+          g.parameterized = "DELETE FROM t WHERE k IN (?, ?, ?) AND id > ?";
+          appendInKeys(g.params);
+          g.params.push_back(id_bound);
+          break;
+        case 3: {  // two-sided range, two keys wide when the bound is an integer
+          g.parameterized = "DELETE FROM t WHERE k >= ? AND k < ? AND id > ?";
+          const Value lo = key();
+          g.params = {lo, lo.isInt() ? Value(lo.asInt() + 2) : key(), id_bound};
+          break;
+        }
+        default:
+          g.parameterized =
+              "DELETE FROM t WHERE k IN (SELECT k FROM t WHERE id = ?) AND id > ?";
+          g.params = {Value(rng_.uniformInt(1, 200)), id_bound};
+          break;
+      }
     } else if (kind < 90) {  // SELECT
       switch (rng_.uniformInt(0, 3)) {
         case 0:
@@ -136,6 +191,17 @@ class FuzzGen {
   util::Rng& rng() { return rng_; }
 
  private:
+  /// A key operand: mostly an integer key of t, sometimes any type.
+  Value key() { return rng_.chance(0.8) ? Value(rng_.uniformInt(0, 9)) : randomValue(); }
+
+  /// Three IN-list keys; the second sometimes repeats the first.
+  void appendInKeys(std::vector<Value>& params) {
+    const Value first = key();
+    params.push_back(first);
+    params.push_back(rng_.chance(0.3) ? first : key());
+    params.push_back(rng_.chance(0.2) ? Value::null() : key());
+  }
+
   std::string comparator() {
     switch (rng_.uniformInt(0, 2)) {
       case 0: return "=";
@@ -209,10 +275,15 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
   auto db_par = Database::openMemory();
   auto db_cur = Database::openMemory();
   auto db_bat = Database::openMemory();
+  auto db_seq = Database::openMemory();
   Engine lit(*db_lit);
   Engine par(*db_par);
   Engine cur(*db_cur);
   Engine bat(*db_bat);
+  Engine seq(*db_seq);
+  // Every statement of this twin, UPDATE and DELETE included, takes the
+  // SeqScan path: the oracle for the indexed twins' access paths.
+  seq.setOption("use_indexes", 0);
   // Odd batch size so nearly every SELECT ends on a partial final batch.
   bat.setOption("exec_batch_rows", 7);
   const char* ddl =
@@ -221,6 +292,7 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
   par.exec(ddl);
   cur.exec(ddl);
   bat.exec(ddl);
+  seq.exec(ddl);
 
   FuzzGen gen(GetParam());
   int in_txn = 0;
@@ -232,6 +304,7 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
       db_par->begin();
       db_cur->begin();
       db_bat->begin();
+      db_seq->begin();
       in_txn = static_cast<int>(gen.rng().uniformInt(3, 10));
     } else if (in_txn > 0 && --in_txn == 0) {
       if (gen.rng().chance(0.33)) {
@@ -239,17 +312,19 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
         db_par->rollback();
         db_cur->rollback();
         db_bat->rollback();
+        db_seq->rollback();
       } else {
         db_lit->commit();
         db_par->commit();
         db_cur->commit();
         db_bat->commit();
+        db_seq->commit();
       }
     }
 
     const GenStmt g = gen.next();
-    std::optional<ResultSet> ra, rb, rc, rd;
-    std::string err_a, err_b, err_c, err_d;
+    std::optional<ResultSet> ra, rb, rc, rd, re;
+    std::string err_a, err_b, err_c, err_d, err_e;
     try {
       ra = lit.exec(g.literal);
     } catch (const util::PTError& e) {
@@ -272,6 +347,11 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
     } catch (const util::PTError& e) {
       err_d = e.what();
     }
+    try {
+      re = seq.prepare(g.parameterized).execute(g.params);
+    } catch (const util::PTError& e) {
+      err_e = e.what();
+    }
     ASSERT_EQ(ra.has_value(), rb.has_value())
         << "one path errored: literal=[" << err_a << "] prepared=[" << err_b
         << "] for: " << g.literal;
@@ -281,8 +361,15 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
     ASSERT_EQ(ra.has_value(), rd.has_value())
         << "one path errored: literal=[" << err_a << "] batch=[" << err_d
         << "] for: " << g.literal;
+    ASSERT_EQ(ra.has_value(), re.has_value())
+        << "one path errored: literal=[" << err_a << "] seqscan=[" << err_e
+        << "] for: " << g.literal;
     if (ra) {
       expectSameResult(*ra, *rb, g.literal);
+      {
+        SCOPED_TRACE("seqscan twin");
+        expectSameResult(*ra, *re, g.literal);
+      }
       {
         SCOPED_TRACE("cursor path");
         ASSERT_EQ(ra->columns, rc->columns);
@@ -311,6 +398,7 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
       EXPECT_EQ(err_a, err_b) << "error text diverged for: " << g.literal;
       EXPECT_EQ(err_a, err_c) << "cursor error text diverged for: " << g.literal;
       EXPECT_EQ(err_a, err_d) << "batch error text diverged for: " << g.literal;
+      EXPECT_EQ(err_a, err_e) << "seqscan error text diverged for: " << g.literal;
     }
 
     if (step % 40 == 39) {
@@ -318,6 +406,7 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
       expectSameResult(lit.exec(all), par.exec(all), all);
       expectSameResult(lit.exec(all), runViaCursor(cur, all, {}), all);
       expectSameResult(lit.exec(all), runViaBatchCursor(bat, all, {}), all);
+      expectSameResult(lit.exec(all), seq.exec(all), all);
       EXPECT_TRUE(db_lit->verifyIntegrity().empty());
       EXPECT_TRUE(db_par->verifyIntegrity().empty());
       EXPECT_TRUE(db_cur->verifyIntegrity().empty());
@@ -329,12 +418,14 @@ TEST_P(SqlFuzz, LiteralPreparedAndCursorPathsAgree) {
     db_par->commit();
     db_cur->commit();
     db_bat->commit();
+    db_seq->commit();
   }
   const char* all = "SELECT id, k, v, r FROM t ORDER BY id";
   const ResultSet fin = lit.exec(all);
   expectSameResult(fin, par.exec(all), all);
   expectSameResult(fin, runViaCursor(cur, all, {}), all);
   expectSameResult(fin, runViaBatchCursor(bat, all, {}), all);
+  expectSameResult(fin, seq.exec(all), all);
   EXPECT_GT(fin.rows.size(), 50u) << "workload degenerated; generator is off";
 }
 

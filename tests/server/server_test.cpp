@@ -444,6 +444,32 @@ TEST_F(ServerTest, AutocommitUpdateIsOneFrame) {
   EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t WHERE v = 20"), 1);
 }
 
+TEST_F(ServerTest, ExplainOfDmlReturnsThePlanAndChangesNothing) {
+  auto conn = connect();
+  conn->exec("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+  conn->exec("INSERT INTO t (v) VALUES (1), (2), (3)");
+  const auto del =
+      conn->execPrepared("EXPLAIN DELETE FROM t WHERE id = ?", {minidb::Value(2)});
+  ASSERT_EQ(del.rows.size(), 2u);
+  EXPECT_EQ(del.rows[0][0].asText(), "FILTER (1 conjunct)");
+  EXPECT_EQ(del.rows[1][0].asText(), "  SEARCH t AS t USING INDEX t__pk (id=?)");
+  const auto upd = conn->execPrepared("EXPLAIN UPDATE t SET v = ? WHERE id = ?",
+                                      {minidb::Value(9), minidb::Value(2)});
+  ASSERT_EQ(upd.rows.size(), 2u);
+  EXPECT_EQ(upd.rows[1][0].asText(), "  SEARCH t AS t USING INDEX t__pk (id=?)");
+  auto cur = conn->query("EXPLAIN DELETE FROM t WHERE id = ?", {minidb::Value(3)});
+  minidb::Row row;
+  ASSERT_TRUE(cur.next(row));
+  EXPECT_EQ(row[0].asText(), "FILTER (1 conjunct)");
+  cur.close();
+  EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t"), 3);
+  EXPECT_EQ(conn->queryInt("SELECT v FROM t WHERE id = 2"), 2);
+  EXPECT_EQ(openCursors(), 0u);
+  EXPECT_THROW(conn->exec("EXPLAIN INSERT INTO t (v) VALUES (4)"), util::SqlError);
+  EXPECT_THROW(conn->exec("EXPLAIN ANALYZE DELETE FROM t"), util::SqlError);
+  EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM t"), 3);
+}
+
 TEST_F(ServerTest, RemoteDiffIsOneFrame) {
   auto conn = connect();
   core::PTDataStore store(*conn);
