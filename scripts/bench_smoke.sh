@@ -15,7 +15,7 @@
 #                     full 1M-row acceptance sweep.
 #   BENCH_table1.json per-dataset ingest rows from bench_table1_ingest
 #                     (Table 1 load path: results/exec, DB growth, load time)
-#   BENCH_durability.json ingest throughput across none/full/wal durability
+#   BENCH_durability.json ingest throughput across none/wal durability
 #                     from bench_durability (rows/s, ms/commit), plus the
 #                     wal-group cells: group-commit fsync sharing at
 #                     1/2/4/8 concurrent committers (fsyncs_per_commit)
@@ -24,9 +24,9 @@
 #                     (time-to-first-row, peak-RSS growth, row-vs-batch A/B)
 #   BENCH_server.json ptserverd under N concurrent clients from bench_server
 #                     (requests/s and p50/p99 latency, plus a streamed scan
-#                     and the read_during_commit_{full,wal} pair: reader
-#                     stall behind a committing writer, exclusive gate vs
-#                     WAL snapshot reads, and export_execution: a remote
+#                     and the read_during_commit_wal cell: reader
+#                     latency behind a committing writer, served from WAL
+#                     snapshot reads, and export_execution: a remote
 #                     PTdf export of a Frost IRS np16 run, lines/s);
 #                     every row carries frames_per_req, the server frames
 #                     per request, and the smoke fails without it, without

@@ -8,11 +8,31 @@ namespace perftrack::minidb {
 
 using util::StorageError;
 
+bool NameLess::operator()(std::string_view a, std::string_view b) const {
+  const auto lower = [](char c) {
+    return static_cast<unsigned char>(c >= 'A' && c <= 'Z' ? c - 'A' + 'a' : c);
+  };
+  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned char x = lower(a[i]);
+    const unsigned char y = lower(b[i]);
+    if (x != y) return x < y;
+  }
+  return a.size() < b.size();
+}
+
 int TableDef::columnIndex(std::string_view column) const {
   for (std::size_t i = 0; i < columns.size(); ++i) {
     if (util::iequals(columns[i].name, column)) return static_cast<int>(i);
   }
   return -1;
+}
+
+const IndexDef* TableDef::indexOnColumn(int column) const {
+  for (const IndexDef* index : indexes) {
+    if (!index->columns.empty() && index->columns.front() == column) return index;
+  }
+  return nullptr;
 }
 
 namespace {
@@ -84,6 +104,7 @@ void Catalog::load(const Pager& pager) {
       throw StorageError("catalog: unknown entry kind '" + kind + "'");
     }
   }
+  linkIndexes();
 }
 
 void Catalog::save(Pager& pager) const {
@@ -109,97 +130,72 @@ void Catalog::save(Pager& pager) const {
 }
 
 const TableDef* Catalog::findTable(std::string_view name) const {
-  // Table names are case-insensitive, like mainstream SQL engines.
-  for (const auto& [key, def] : tables_) {
-    if (util::iequals(key, name)) return &def;
-  }
-  return nullptr;
+  const auto it = tables_.find(name);
+  return it == tables_.end() ? nullptr : &it->second;
 }
 
 const IndexDef* Catalog::findIndex(std::string_view name) const {
-  for (const auto& [key, def] : indexes_) {
-    if (util::iequals(key, name)) return &def;
-  }
-  return nullptr;
+  const auto it = indexes_.find(name);
+  return it == indexes_.end() ? nullptr : &it->second;
 }
 
-std::vector<const IndexDef*> Catalog::indexesOn(std::string_view table) const {
-  std::vector<const IndexDef*> out;
+void Catalog::linkIndexes() {
+  for (auto& [name, def] : tables_) def.indexes.clear();
   for (const auto& [name, def] : indexes_) {
-    if (util::iequals(def.table, table)) out.push_back(&def);
+    const auto it = tables_.find(def.table);
+    if (it != tables_.end()) it->second.indexes.push_back(&def);
   }
-  return out;
-}
-
-const IndexDef* Catalog::indexOnColumn(std::string_view table, int column) const {
-  for (const auto& [name, def] : indexes_) {
-    if (util::iequals(def.table, table) && !def.columns.empty() &&
-        def.columns.front() == column) {
-      return &def;
-    }
-  }
-  return nullptr;
 }
 
 void Catalog::addTable(TableDef def) {
-  if (findTable(def.name) != nullptr) {
+  if (tables_.contains(def.name)) {
     throw StorageError("catalog: table '" + def.name + "' already exists");
   }
   tables_.emplace(def.name, std::move(def));
+  linkIndexes();
 }
 
 void Catalog::addIndex(IndexDef def) {
-  if (findIndex(def.name) != nullptr) {
+  if (indexes_.contains(def.name)) {
     throw StorageError("catalog: index '" + def.name + "' already exists");
   }
   indexes_.emplace(def.name, std::move(def));
+  linkIndexes();
 }
 
 void Catalog::removeTable(std::string_view name) {
-  for (auto it = indexes_.begin(); it != indexes_.end();) {
-    if (util::iequals(it->second.table, name)) {
-      it = indexes_.erase(it);
-    } else {
-      ++it;
-    }
+  const auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    throw StorageError("catalog: no table named '" + std::string(name) + "'");
   }
-  for (auto it = tables_.begin(); it != tables_.end(); ++it) {
-    if (util::iequals(it->first, name)) {
-      tables_.erase(it);
-      return;
-    }
-  }
-  throw StorageError("catalog: no table named '" + std::string(name) + "'");
-}
-
-void Catalog::setTableFirstPage(std::string_view name, PageId first_page) {
-  for (auto& [key, def] : tables_) {
-    if (util::iequals(key, name)) {
-      def.first_page = first_page;
-      return;
-    }
-  }
-  throw StorageError("catalog: no table named '" + std::string(name) + "'");
-}
-
-void Catalog::setIndexRoot(std::string_view name, PageId root) {
-  for (auto& [key, def] : indexes_) {
-    if (util::iequals(key, name)) {
-      def.root = root;
-      return;
-    }
-  }
-  throw StorageError("catalog: no index named '" + std::string(name) + "'");
+  // Its indexes belong to no other table, so no other list changes.
+  for (const IndexDef* index : it->second.indexes) indexes_.erase(indexes_.find(index->name));
+  tables_.erase(it);
 }
 
 void Catalog::removeIndex(std::string_view name) {
-  for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
-    if (util::iequals(it->first, name)) {
-      indexes_.erase(it);
-      return;
-    }
+  const auto it = indexes_.find(name);
+  if (it == indexes_.end()) {
+    throw StorageError("catalog: no index named '" + std::string(name) + "'");
   }
-  throw StorageError("catalog: no index named '" + std::string(name) + "'");
+  indexes_.erase(it);
+  linkIndexes();
+}
+
+void Catalog::setTableFirstPage(std::string_view name, PageId first_page) {
+  const auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    throw StorageError("catalog: no table named '" + std::string(name) + "'");
+  }
+  it->second.first_page = first_page;
+}
+
+void Catalog::setIndexRoot(std::string_view name, PageId root) {
+  const auto it = indexes_.find(name);
+  if (it == indexes_.end()) {
+    throw StorageError("catalog: no index named '" + std::string(name) + "'");
+  }
+  it->second.root = root;
 }
 
 }  // namespace perftrack::minidb

@@ -8,6 +8,24 @@ namespace perftrack::minidb {
 
 using util::StorageError;
 
+namespace {
+
+/// The encoded key columns of `row` under `index` (a unique probe's prefix).
+EncodedKey keyPrefixFor(const IndexDef& index, const Row& row) {
+  EncodedKey key;
+  for (int c : index.columns) encodeValue(row.at(c), key);
+  return key;
+}
+
+/// The full B+-tree entry for `row` at `rid`: key columns, then the rid.
+EncodedKey indexKeyFor(const IndexDef& index, const Row& row, RecordId rid) {
+  EncodedKey key = keyPrefixFor(index, row);
+  encodeRecordIdSuffix(rid, key);
+  return key;
+}
+
+}  // namespace
+
 std::unique_ptr<Database> Database::open(const std::string& path) {
   return open(path, OpenOptions{});
 }
@@ -199,9 +217,7 @@ void Database::createTable(const std::string& name, std::vector<ColumnDef> colum
 void Database::dropTable(const std::string& name) {
   assertNoCursorsAtAll("DROP TABLE");
   const TableDef& def = tableOrThrow(name);
-  for (const IndexDef* index : catalog_.indexesOn(def.name)) {
-    BTree(*pager_, index->root).destroy();
-  }
+  for (const IndexDef* index : def.indexes) BTree(*pager_, index->root).destroy();
   HeapFile(*pager_, def.first_page).destroy();
   next_ids_.erase(def.name);
   catalog_.removeTable(name);
@@ -231,16 +247,14 @@ void Database::createIndex(const std::string& name, const std::string& table,
   for (auto it = heap.begin(); !it.done(); it.next()) {
     const Row row = deserializeRow(it.data(), it.size());
     if (unique) {
-      std::vector<Value> key_values;
-      for (int c : index.columns) key_values.push_back(row.at(c));
-      EncodedKey prefix = encodeKey(key_values);
+      const EncodedKey prefix = keyPrefixFor(index, row);
       auto probe = tree.lowerBound(prefix);
       if (!probe.done() && probe.key().substr(0, prefix.size()) == prefix) {
         BTree(*pager_, index.root).destroy();
         throw StorageError("createIndex: duplicate keys violate UNIQUE for " + name);
       }
     }
-    tree.insert(indexKeyFor(index, def, row, it.rid()));
+    tree.insert(indexKeyFor(index, row, it.rid()));
   }
   catalog_.addIndex(std::move(index));
   noteSchemaChange();
@@ -257,21 +271,8 @@ void Database::dropIndex(const std::string& name) {
   catalog_.save(*pager_);
 }
 
-EncodedKey Database::indexKeyFor(const IndexDef& index, const TableDef& table,
-                                 const Row& row, RecordId rid) const {
-  (void)table;
-  EncodedKey key;
-  for (int c : index.columns) encodeValue(row.at(c), key);
-  encodeRecordIdSuffix(rid, key);
-  return key;
-}
-
-void Database::checkUnique(const IndexDef& index, const TableDef& table,
-                           const Row& row) const {
-  (void)table;
-  std::vector<Value> key_values;
-  for (int c : index.columns) key_values.push_back(row.at(c));
-  const EncodedKey prefix = encodeKey(key_values);
+void Database::checkUnique(const IndexDef& index, const Row& row) const {
+  const EncodedKey prefix = keyPrefixFor(index, row);
   BTree tree(const_cast<Pager&>(*pager_), index.root);
   auto it = tree.lowerBound(prefix);
   if (!it.done() && it.key().substr(0, prefix.size()) == prefix) {
@@ -280,14 +281,14 @@ void Database::checkUnique(const IndexDef& index, const TableDef& table,
 }
 
 void Database::insertIntoIndexes(const TableDef& table, const Row& row, RecordId rid) {
-  for (const IndexDef* index : catalog_.indexesOn(table.name)) {
-    BTree(*pager_, index->root).insert(indexKeyFor(*index, table, row, rid));
+  for (const IndexDef* index : table.indexes) {
+    BTree(*pager_, index->root).insert(indexKeyFor(*index, row, rid));
   }
 }
 
 void Database::removeFromIndexes(const TableDef& table, const Row& row, RecordId rid) {
-  for (const IndexDef* index : catalog_.indexesOn(table.name)) {
-    BTree(*pager_, index->root).erase(indexKeyFor(*index, table, row, rid));
+  for (const IndexDef* index : table.indexes) {
+    BTree(*pager_, index->root).erase(indexKeyFor(*index, row, rid));
   }
 }
 
@@ -308,11 +309,14 @@ std::int64_t Database::nextId(const TableDef& table) {
 }
 
 std::int64_t Database::insertRow(const std::string& table_name, Row row) {
+  return insertRow(tableOrThrow(table_name), std::move(row));
+}
+
+std::int64_t Database::insertRow(const TableDef& table, Row row) {
   assertNoOpenCursors("INSERT");
-  const TableDef& table = tableOrThrow(table_name);
   if (row.size() != table.columns.size()) {
     throw StorageError("insertRow: expected " + std::to_string(table.columns.size()) +
-                       " values for " + table_name + ", got " + std::to_string(row.size()));
+                       " values for " + table.name + ", got " + std::to_string(row.size()));
   }
   std::int64_t pk_value = 0;
   if (table.primary_key >= 0) {
@@ -320,8 +324,8 @@ std::int64_t Database::insertRow(const std::string& table_name, Row row) {
     if (pk.isNull()) pk = Value(nextId(table));
     pk_value = pk.asInt();
   }
-  for (const IndexDef* index : catalog_.indexesOn(table.name)) {
-    if (index->unique) checkUnique(*index, table, row);
+  for (const IndexDef* index : table.indexes) {
+    if (index->unique) checkUnique(*index, row);
   }
   std::vector<std::uint8_t> buf;
   serializeRow(row, buf);
@@ -332,9 +336,8 @@ std::int64_t Database::insertRow(const std::string& table_name, Row row) {
   return pk_value;
 }
 
-bool Database::eraseRow(const std::string& table_name, RecordId rid) {
+bool Database::eraseRow(const TableDef& table, RecordId rid) {
   assertNoOpenCursors("DELETE");
-  const TableDef& table = tableOrThrow(table_name);
   HeapFile heap(*pager_, table.first_page);
   std::vector<std::uint8_t> buf;
   if (!heap.read(rid, buf)) return false;
@@ -345,19 +348,18 @@ bool Database::eraseRow(const std::string& table_name, RecordId rid) {
   return true;
 }
 
-void Database::updateRow(const std::string& table_name, RecordId rid, const Row& row) {
+void Database::updateRow(const TableDef& table, RecordId rid, const Row& row) {
   assertNoOpenCursors("UPDATE");
-  const TableDef& table = tableOrThrow(table_name);
   if (row.size() != table.columns.size()) {
-    throw StorageError("updateRow: wrong column count for " + table_name);
+    throw StorageError("updateRow: wrong column count for " + table.name);
   }
   HeapFile heap(*pager_, table.first_page);
   std::vector<std::uint8_t> old_buf;
   if (!heap.read(rid, old_buf)) throw StorageError("updateRow: record not found");
   const Row old_row = deserializeRow(old_buf.data(), old_buf.size());
   removeFromIndexes(table, old_row, rid);
-  for (const IndexDef* index : catalog_.indexesOn(table.name)) {
-    if (index->unique) checkUnique(*index, table, row);
+  for (const IndexDef* index : table.indexes) {
+    if (index->unique) checkUnique(*index, row);
   }
   std::vector<std::uint8_t> buf;
   serializeRow(row, buf);
@@ -462,14 +464,11 @@ void Database::vacuum() {
     old_heap.destroy();
     catalog_.setTableFirstPage(table_name, fresh_first);
 
-    for (const IndexDef* index : catalog_.indexesOn(table_name)) {
+    for (const IndexDef* index : def.indexes) {
       BTree(*pager_, index->root).destroy();
       const PageId fresh_root = BTree::create(*pager_);
       BTree tree(*pager_, fresh_root);
-      const TableDef* fresh_def = catalog_.findTable(table_name);
-      for (const auto& [row, rid] : moved) {
-        tree.insert(indexKeyFor(*index, *fresh_def, row, rid));
-      }
+      for (const auto& [row, rid] : moved) tree.insert(indexKeyFor(*index, row, rid));
       catalog_.setIndexRoot(index->name, fresh_root);
     }
   }
@@ -489,11 +488,11 @@ std::vector<std::string> Database::verifyIntegrity() const {
       rows.emplace_back(deserializeRow(it.data(), it.size()), it.rid());
       ++live_rows;
     }
-    for (const IndexDef* index : catalog_.indexesOn(table_name)) {
+    for (const IndexDef* index : def.indexes) {
       BTree tree(const_cast<Pager&>(*pager_), index->root);
       // Heap -> index: every live row must be findable.
       for (const auto& [row, rid] : rows) {
-        if (!tree.contains(indexKeyFor(*index, def, row, rid))) {
+        if (!tree.contains(indexKeyFor(*index, row, rid))) {
           problems.push_back("index " + index->name + " is missing the entry for a "
                              "live row of " + table_name);
         }

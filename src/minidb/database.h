@@ -5,6 +5,10 @@
 // statements against this interface; PerfTrack's DB abstraction layer
 // (src/dbal) wraps it behind a Connection facade, the way the paper's
 // Python layer wrapped Oracle/PostgreSQL.
+//
+// Row mutations take the resolved TableDef (from this database's catalog)
+// and walk its index list, so the per-row path does no name lookup. Callers
+// that cache a TableDef* must drop it when schemaEpoch() moves.
 #pragma once
 
 #include <atomic>
@@ -167,16 +171,21 @@ class Database {
   }
 
   // --- DML -----------------------------------------------------------------
+  // `table` must come from catalog() and be valid under the current
+  // schemaEpoch().
+
   /// Inserts `row` (one value per column, in declaration order). A NULL
   /// primary key is auto-assigned the next integer id. Returns the assigned
   /// primary key value (or 0 when the table has no PK).
+  std::int64_t insertRow(const TableDef& table, Row row);
+  /// insertRow by table name (resolved on every call).
   std::int64_t insertRow(const std::string& table, Row row);
 
   /// Deletes the record at `rid`. Returns false when already gone.
-  bool eraseRow(const std::string& table, RecordId rid);
+  bool eraseRow(const TableDef& table, RecordId rid);
 
   /// Replaces the record at `rid` with `row`; maintains indexes.
-  void updateRow(const std::string& table, RecordId rid, const Row& row);
+  void updateRow(const TableDef& table, RecordId rid, const Row& row);
 
   /// Reads one record.
   std::optional<Row> readRow(const std::string& table, RecordId rid) const;
@@ -302,11 +311,9 @@ class Database {
   /// Bumps the schema epoch and, inside a transaction, marks it as having
   /// run DDL (so rollback knows to reload the catalog).
   void noteSchemaChange();
-  EncodedKey indexKeyFor(const IndexDef& index, const TableDef& table, const Row& row,
-                         RecordId rid) const;
   void insertIntoIndexes(const TableDef& table, const Row& row, RecordId rid);
   void removeFromIndexes(const TableDef& table, const Row& row, RecordId rid);
-  void checkUnique(const IndexDef& index, const TableDef& table, const Row& row) const;
+  void checkUnique(const IndexDef& index, const Row& row) const;
   std::int64_t nextId(const TableDef& table);
 
   std::unique_ptr<Pager> pager_;

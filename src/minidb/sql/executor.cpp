@@ -408,14 +408,10 @@ ResultSet PreparedStatement::execute() {
     return rs;
   }
   sqlCounters().queries.inc();
-  // UPDATE and DELETE run on the cached plan of their row source.
-  const bool dml =
-      stmt_->kind == Statement::Kind::Update || stmt_->kind == Statement::Kind::Delete;
   if (!obs::Tracer::global().shouldSample()) {
     if (stmt_->param_count > 0) bindParamValues(*stmt_, params_);
-    if (!dml) return engine_->exec(*stmt_);
     refreshPlan();
-    return engine_->execDml(*stmt_, *plan_);
+    return executeWrite();
   }
   obs::QueryTrace t;
   t.sql = sql_;
@@ -425,9 +421,9 @@ ResultSet PreparedStatement::execute() {
     bindParamValues(*stmt_, params_);
     t.bind_us = bt.elapsedUs();
   }
-  if (dml) t.plan_us = refreshPlan();
+  t.plan_us = refreshPlan();
   const obs::StageTimer et;
-  ResultSet rs = dml ? engine_->execDml(*stmt_, *plan_) : engine_->exec(*stmt_);
+  ResultSet rs = executeWrite();
   t.exec_us = et.elapsedUs();
   t.rows = static_cast<std::uint64_t>(rs.rows_affected);
   sqlCounters().query_ms.observe(static_cast<double>(t.totalUs()) / 1000.0);
@@ -436,17 +432,33 @@ ResultSet PreparedStatement::execute() {
 }
 
 std::uint64_t PreparedStatement::refreshPlan() {
-  Database& db = *engine_->db_;
+  const Database& db = *engine_->db_;
   const ExecOptions& opts = engine_->opts_;
+  if (stmt_->kind == Statement::Kind::Insert) {
+    if (insert_ && insert_->epoch == db.schemaEpoch()) return 0;
+    if (insert_) sqlCounters().plan_revalidations.inc();
+    const obs::StageTimer t;
+    insert_ = engine_->resolveInsert(*stmt_->insert);
+    return t.elapsedUs();
+  }
+  if (!stmt_->select) return 0;  // DDL and transaction control plan nothing
   if (plan_ && plan_->epoch == db.schemaEpoch() && plan_->use_indexes == opts.use_indexes &&
       plan_->invidx == opts.invidx) {
     return 0;
   }
   if (plan_) sqlCounters().plan_revalidations.inc();
   const obs::StageTimer t;
-  plan_ = std::make_shared<SelectPlan>(
-      buildSelectPlan(db, *stmt_->select, opts.use_indexes, opts.invidx));
+  plan_ = std::make_shared<SelectPlan>(engine_->planRowSource(*stmt_));
   return t.elapsedUs();
+}
+
+ResultSet PreparedStatement::executeWrite() {
+  switch (stmt_->kind) {
+    case Statement::Kind::Insert: return engine_->execInsert(*stmt_->insert, *insert_);
+    case Statement::Kind::Update:
+    case Statement::Kind::Delete: return engine_->execDml(*stmt_, *plan_);
+    default: return engine_->exec(*stmt_);
+  }
 }
 
 ResultSet PreparedStatement::execute(std::vector<Value> params) {
@@ -530,8 +542,7 @@ ResultSet Engine::exec(const Statement& stmt) {
     case Statement::Kind::Select:
     case Statement::Kind::Update:
     case Statement::Kind::Delete: {
-      SelectPlan plan =
-          buildSelectPlan(*db_, *stmt.select, opts_.use_indexes, opts_.invidx);
+      SelectPlan plan = planRowSource(stmt);
       if (stmt.explain) {
         ResultSet rs;
         rs.columns = {"plan"};
@@ -542,36 +553,8 @@ ResultSet Engine::exec(const Statement& stmt) {
       return execDml(stmt, plan);
     }
 
-    case Statement::Kind::Insert: {
-      const InsertStmt& ins = *stmt.insert;
-      const TableDef* def = db_->catalog().findTable(ins.table);
-      if (def == nullptr) throw SqlError("no such table: " + ins.table);
-      std::vector<int> target_cols;
-      if (ins.columns.empty()) {
-        for (std::size_t c = 0; c < def->columns.size(); ++c) {
-          target_cols.push_back(static_cast<int>(c));
-        }
-      } else {
-        for (const std::string& name : ins.columns) {
-          const int c = def->columnIndex(name);
-          if (c < 0) throw SqlError("no column '" + name + "' in " + ins.table);
-          target_cols.push_back(c);
-        }
-      }
-      ResultSet rs;
-      for (const auto& exprs : ins.rows) {
-        if (exprs.size() != target_cols.size()) {
-          throw SqlError("INSERT value count does not match column count");
-        }
-        Row row(def->columns.size());  // unspecified columns default to NULL
-        for (std::size_t i = 0; i < exprs.size(); ++i) {
-          row[target_cols[i]] = evalConst(*exprs[i]);
-        }
-        rs.last_insert_id = db_->insertRow(def->name, std::move(row));
-        rs.rows_affected++;
-      }
-      return rs;
-    }
+    case Statement::Kind::Insert:
+      return execInsert(*stmt.insert, resolveInsert(*stmt.insert));
 
     case Statement::Kind::CreateTable: {
       const CreateTableStmt& ct = *stmt.create_table;
@@ -622,30 +605,71 @@ ResultSet Engine::exec(const Statement& stmt) {
   throw SqlError("internal: bad statement kind");
 }
 
-ResultSet Engine::execDml(const Statement& stmt, SelectPlan& plan) {
-  const TableDef& def = *plan.from[0].def;
-  std::vector<int> assigned;  // UPDATE: the column each SET item writes
+SelectPlan Engine::planRowSource(const Statement& stmt) const {
+  SelectPlan plan = buildSelectPlan(*db_, *stmt.select, opts_.use_indexes, opts_.invidx);
   if (stmt.kind == Statement::Kind::Update) {
+    const TableDef& def = *plan.from[0].def;
     for (const SelectPlan::OutputCol& out : plan.outputs) {
       const int c = def.columnIndex(out.name);
       if (c < 0) throw SqlError("no column '" + out.name + "' in " + def.name);
-      assigned.push_back(c);
+      plan.assigned.push_back(c);
     }
   }
+  return plan;
+}
+
+InsertTarget Engine::resolveInsert(const InsertStmt& ins) const {
+  InsertTarget target;
+  target.epoch = db_->schemaEpoch();
+  target.def = db_->catalog().findTable(ins.table);
+  if (target.def == nullptr) throw SqlError("no such table: " + ins.table);
+  const TableDef& def = *target.def;
+  if (ins.columns.empty()) {
+    for (std::size_t c = 0; c < def.columns.size(); ++c) {
+      target.columns.push_back(static_cast<int>(c));
+    }
+  }
+  for (const std::string& name : ins.columns) {
+    const int c = def.columnIndex(name);
+    if (c < 0) throw SqlError("no column '" + name + "' in " + def.name);
+    target.columns.push_back(c);
+  }
+  return target;
+}
+
+ResultSet Engine::execInsert(const InsertStmt& ins, const InsertTarget& target) {
+  const TableDef& def = *target.def;
+  ResultSet rs;
+  for (const auto& exprs : ins.rows) {
+    if (exprs.size() != target.columns.size()) {
+      throw SqlError("INSERT value count does not match column count");
+    }
+    Row row(def.columns.size());  // unspecified columns default to NULL
+    for (std::size_t i = 0; i < exprs.size(); ++i) {
+      row[target.columns[i]] = evalConst(*exprs[i]);
+    }
+    rs.last_insert_id = db_->insertRow(def, std::move(row));
+    rs.rows_affected++;
+  }
+  return rs;
+}
+
+ResultSet Engine::execDml(const Statement& stmt, SelectPlan& plan) {
+  const TableDef& def = *plan.from[0].def;
   // Collect first, then mutate: the access path is closed before the first
   // write, so it never sees this statement's own changes.
   ResultSet rs;
   for (auto& [rid, row] : collectTargetRows(*db_, plan)) {
     if (stmt.kind == Statement::Kind::Delete) {
-      if (db_->eraseRow(def.name, rid)) rs.rows_affected++;
+      if (db_->eraseRow(def, rid)) rs.rows_affected++;
       continue;
     }
     Row updated = row;
     const Tuple tuple{&row};
-    for (std::size_t i = 0; i < assigned.size(); ++i) {
-      updated[assigned[i]] = evaluate(*plan.outputs[i].expr, tuple);
+    for (std::size_t i = 0; i < plan.assigned.size(); ++i) {
+      updated[plan.assigned[i]] = evaluate(*plan.outputs[i].expr, tuple);
     }
-    db_->updateRow(def.name, rid, updated);
+    db_->updateRow(def, rid, updated);
     rs.rows_affected++;
   }
   return rs;

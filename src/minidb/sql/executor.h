@@ -20,14 +20,16 @@
 //
 // prepare() compiles a statement once into a PreparedStatement that can be
 // bound and executed repeatedly without re-lexing or re-parsing. SELECT,
-// UPDATE and DELETE plans (resolved tables, conjuncts, access paths) are
-// cached inside the PreparedStatement and revalidated against
-// Database::schemaEpoch() and the engine's use_indexes/invidx options, so
-// DDL or ablation flips trigger a cheap replan instead of returning stale
-// plans.
+// UPDATE and DELETE plans (resolved tables, conjuncts, access paths, SET
+// targets) and INSERT targets (table and column ordinals) are cached inside
+// the PreparedStatement and revalidated against Database::schemaEpoch()
+// (plans also against the engine's use_indexes/invidx options), so DDL or
+// ablation flips trigger a cheap re-resolve instead of returning stale
+// plans, and a re-executed statement looks up no name by string.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +57,15 @@ struct ResultSet {
 class Engine;
 struct SelectPlan;  // cached plan, defined in sql/pipeline.h
 struct CursorImpl;  // cursor state, defined in executor.cpp
+
+/// An INSERT's resolved target: the table, and the column ordinal each
+/// listed value (or, without a column list, each declared column) writes.
+/// Valid while Database::schemaEpoch() equals `epoch`.
+struct InsertTarget {
+  const TableDef* def = nullptr;
+  std::vector<int> columns;
+  std::uint64_t epoch = 0;
+};
 
 /// A stepping SELECT cursor: pulls batches through the operator pipeline,
 /// so the first rows arrive without materializing the result.
@@ -154,10 +165,13 @@ class PreparedStatement {
   friend class Engine;
   PreparedStatement(Engine& engine, std::string sql);
   Cursor openCursorInternal(Pager::ReadSnapshot snapshot);
-  /// Rebuilds the cached plan when it is missing or was built under another
-  /// schema epoch or use_indexes/invidx setting; returns the microseconds
-  /// spent planning (0 on a cache hit).
+  /// Rebuilds the cached plan (or INSERT target) when it is missing or was
+  /// built under another schema epoch or use_indexes/invidx setting; a
+  /// rebuild of an existing one counts in pt_plan_revalidations_total.
+  /// Returns the microseconds spent planning (0 on a cache hit).
   std::uint64_t refreshPlan();
+  /// Runs a non-SELECT statement on its refreshed plan or target.
+  ResultSet executeWrite();
 
   Engine* engine_;
   std::string sql_;
@@ -165,6 +179,7 @@ class PreparedStatement {
   std::vector<Value> params_;
   std::vector<char> bound_;        // per-parameter "has been bound" flags
   std::shared_ptr<SelectPlan> plan_;  // SELECT/UPDATE/DELETE row source, epoch-validated
+  std::optional<InsertTarget> insert_;  // INSERT target, epoch-validated
   std::shared_ptr<char> busy_token_;  // nonzero while a cursor is open
   std::uint64_t parse_us_ = 0;     // parse span, consumed by the first execution
 };
@@ -206,6 +221,13 @@ class Engine {
  private:
   friend class PreparedStatement;
 
+  /// Plans a SELECT, UPDATE or DELETE's row source (and an UPDATE's SET
+  /// targets) under the current options.
+  SelectPlan planRowSource(const Statement& stmt) const;
+  /// Resolves an INSERT's table and target columns by name.
+  InsertTarget resolveInsert(const InsertStmt& ins) const;
+  /// Runs an INSERT into its resolved target.
+  ResultSet execInsert(const InsertStmt& ins, const InsertTarget& target);
   /// Runs an UPDATE or DELETE on `plan`, the plan of its row source.
   ResultSet execDml(const Statement& stmt, SelectPlan& plan);
 

@@ -726,8 +726,7 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
           list_max = std::max(list_max, maxTableOf(item.get()));
         }
         if (list_max >= static_cast<int>(t)) continue;
-        const IndexDef* index =
-            db.catalog().indexOnColumn(plan.from[t].def->name, col->bound_col);
+        const IndexDef* index = plan.from[t].def->indexOnColumn(col->bound_col);
         if (index == nullptr) continue;
         if (path.kind == SelectPlan::AccessPath::Kind::IndexEqual ||
             path.kind == SelectPlan::AccessPath::Kind::IndexInList ||
@@ -747,6 +746,7 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
         path.index = index;
         path.key_column = col->bound_col;
         path.in_list = e;
+        path.consumed = e;
         continue;
       }
 
@@ -778,8 +778,7 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
       }
       // The other side must be computable before table t is scanned.
       if (maxTableOf(other) >= static_cast<int>(t)) continue;
-      const IndexDef* index =
-          db.catalog().indexOnColumn(plan.from[t].def->name, col->bound_col);
+      const IndexDef* index = plan.from[t].def->indexOnColumn(col->bound_col);
       if (index == nullptr) continue;
       if (op == BinaryOp::Eq) {
         path = {};
@@ -787,6 +786,7 @@ SelectPlan buildSelectPlan(Database& db, SelectStmt& sel, bool use_indexes,
         path.index = index;
         path.key_column = col->bound_col;
         path.equal_rhs = other;
+        path.consumed = e;
         break;  // equality beats any other path
       }
       // Range bound: merge into an existing range path on the same column.
@@ -1508,18 +1508,19 @@ class NestedLoop {
                                          : makeAccessIter(db, path, plan.from[t], tuple_);
       SlotIter* matched = it.get();
       // Route the conjuncts due at this level: ON conjuncts decide LEFT JOIN
-      // matching; the rest filter accepted rows. A conjunct consumed by an
-      // IN-list probe already holds by construction and is skipped — except
-      // on null-extended rows, which must still fail `col IN (...)`.
+      // matching; the rest filter accepted rows. The conjunct an index
+      // probe consumed already holds by construction and is skipped — except
+      // on null-extended rows, which must still fail `col = x` or
+      // `col IN (...)`.
       std::vector<Expr*> on_list;
       std::vector<Expr*> where_list;
       for (const SelectPlan::PlannedConjunct& pc : plan.conjuncts) {
         if (pc.level != static_cast<int>(t)) continue;
         if (pc.on_table == static_cast<int>(t)) {
-          if (pc.expr != path.in_list) on_list.push_back(pc.expr);
+          if (pc.expr != path.consumed) on_list.push_back(pc.expr);
         } else {
           lv.null_conjuncts.push_back(pc.expr);
-          if (pc.expr != path.in_list) where_list.push_back(pc.expr);
+          if (pc.expr != path.consumed) where_list.push_back(pc.expr);
         }
       }
       if (!on_list.empty()) {

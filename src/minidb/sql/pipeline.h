@@ -116,6 +116,11 @@ struct SelectPlan {
     int key_column = -1;         // table-local ordinal of the indexed column
     Expr* equal_rhs = nullptr;   // IndexEqual: bound expression for the key
     Expr* in_list = nullptr;     // IndexInList: the consumed InList conjunct
+    // IndexEqual/IndexInList/PostingInList: the conjunct the probe satisfies
+    // by construction (the cursor re-verifies each key with Value::compare,
+    // which is SQL `=` for non-NULL keys, and a NULL key yields no rows), so
+    // the filter above the probe skips it.
+    Expr* consumed = nullptr;
     Expr* lower_rhs = nullptr;   // IndexRange bounds
     bool lower_inclusive = false;
     Expr* upper_rhs = nullptr;
@@ -155,6 +160,7 @@ struct SelectPlan {
   std::vector<FromEntry> from;
   std::vector<ExprPtr> star_exprs;  // owns column refs expanded from '*'
   std::vector<OutputCol> outputs;
+  std::vector<int> assigned;  // UPDATE: the column each output (SET item) writes
   std::vector<PlannedConjunct> conjuncts;
   std::vector<AccessPath> paths;
   std::vector<Expr*> aggregates;

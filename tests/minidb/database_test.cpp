@@ -18,6 +18,8 @@ class DatabaseTest : public ::testing::Test {
                      /*primary_key=*/0);
   }
 
+  const TableDef& users() const { return *db_->catalog().findTable("users"); }
+
   std::unique_ptr<Database> db_;
 };
 
@@ -145,7 +147,7 @@ TEST_F(DatabaseTest, EraseRowMaintainsIndexes) {
     rid = r;
     return false;
   });
-  EXPECT_TRUE(db_->eraseRow("users", rid));
+  EXPECT_TRUE(db_->eraseRow(users(), rid));
   const IndexDef* index = db_->catalog().findIndex("users_by_name");
   int hits = 0;
   db_->indexScanEqual(*index, {Value("victim")}, [&](RecordId, const Row&) {
@@ -153,7 +155,7 @@ TEST_F(DatabaseTest, EraseRowMaintainsIndexes) {
     return true;
   });
   EXPECT_EQ(hits, 0);
-  EXPECT_FALSE(db_->eraseRow("users", rid));
+  EXPECT_FALSE(db_->eraseRow(users(), rid));
 }
 
 TEST_F(DatabaseTest, UpdateRowMaintainsIndexes) {
@@ -167,7 +169,7 @@ TEST_F(DatabaseTest, UpdateRowMaintainsIndexes) {
     return false;
   });
   row[1] = Value("after");
-  db_->updateRow("users", rid, row);
+  db_->updateRow(users(), rid, row);
   const IndexDef* index = db_->catalog().findIndex("users_by_name");
   int before_hits = 0;
   int after_hits = 0;
