@@ -4,14 +4,15 @@
 #   scripts/ci.sh            normal build + full ctest (tier-1 gate)
 #   scripts/ci.sh sanitize   ASan+UBSan build + full ctest
 #   scripts/ci.sh tsan       ThreadSanitizer build + the `server`, `obs`,
-#                            `parallel`, and `wal` labels (ptserverd
-#                            concurrency: worker pool, DbGate, remote dbal,
-#                            stress + crash-restart tests; obs registry/
-#                            tracer cross-thread races; morsel-driven
-#                            parallel query execution and the shared
-#                            ExecPool; WAL snapshot readers racing
-#                            group-commit writers; the WAL crash matrix
-#                            and log-format tests)
+#                            `parallel`, `wal`, `vectorized`, and `invidx`
+#                            labels (ptserverd concurrency: worker pool,
+#                            DbGate, remote dbal, stress + crash-restart
+#                            tests; obs registry/tracer cross-thread races;
+#                            morsel-driven parallel query execution and the
+#                            shared ExecPool; WAL snapshot readers racing
+#                            group-commit writers; the WAL crash matrix and
+#                            log-format tests; the batch-execution
+#                            differentials; the inverted-index matchers)
 #   scripts/ci.sh bench      normal build + bench smoke (non-gating label)
 #
 # Each mode uses its own build directory so they can be run back to back.
@@ -42,8 +43,10 @@ case "$MODE" in
     # label selects everything multi-threaded (src/server tests and the
     # daemon crash-restart script), the obs label adds the metrics
     # registry / tracer cross-thread exercises, the parallel label adds
-    # the morsel-driven executor and ExecPool suites, and the invidx label
-    # adds the inverted-index matcher differentials.
+    # the morsel-driven executor and ExecPool suites, the wal label the WAL
+    # snapshot and crash-matrix suites, the vectorized label the batch
+    # differentials, and the invidx label the inverted-index matcher
+    # differentials.
     BUILD="$ROOT/build-tsan"
     cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
           -DPT_SANITIZE=thread

@@ -634,6 +634,15 @@ InsertTarget Engine::resolveInsert(const InsertStmt& ins) const {
     if (c < 0) throw SqlError("no column '" + name + "' in " + def.name);
     target.columns.push_back(c);
   }
+  // VALUES read no row, so any column ref in them names nothing.
+  for (const auto& exprs : ins.rows) {
+    for (const ExprPtr& e : exprs) {
+      forEachColumn(e.get(), [](const Expr& col) {
+        throw SqlError("unknown column: " +
+                       (col.table.empty() ? col.column : col.table + "." + col.column));
+      });
+    }
+  }
   return target;
 }
 
@@ -646,7 +655,7 @@ ResultSet Engine::execInsert(const InsertStmt& ins, const InsertTarget& target) 
     }
     Row row(def.columns.size());  // unspecified columns default to NULL
     for (std::size_t i = 0; i < exprs.size(); ++i) {
-      row[target.columns[i]] = evalConst(*exprs[i]);
+      row[target.columns[i]] = evaluate(*exprs[i], {});
     }
     rs.last_insert_id = db_->insertRow(def, std::move(row));
     rs.rows_affected++;
@@ -659,13 +668,14 @@ ResultSet Engine::execDml(const Statement& stmt, SelectPlan& plan) {
   // Collect first, then mutate: the access path is closed before the first
   // write, so it never sees this statement's own changes.
   ResultSet rs;
+  Tuple tuple(1);  // UPDATE's SET reads the collected row
   for (auto& [rid, row] : collectTargetRows(*db_, plan)) {
     if (stmt.kind == Statement::Kind::Delete) {
       if (db_->eraseRow(def, rid)) rs.rows_affected++;
       continue;
     }
     Row updated = row;
-    const Tuple tuple{&row};
+    tuple[0] = &row;
     for (std::size_t i = 0; i < plan.assigned.size(); ++i) {
       updated[plan.assigned[i]] = evaluate(*plan.outputs[i].expr, tuple);
     }

@@ -67,6 +67,11 @@ Value arith(BinaryOp op, const Value& a, const Value& b) {
       default: break;
     }
   }
+  if (a.isText() || b.isText()) {
+    // Add, Sub, Mul, Div are declared in this order.
+    const char symbol = "+-*/"[static_cast<int>(op) - static_cast<int>(BinaryOp::Add)];
+    throw SqlError(std::string("cannot apply '") + symbol + "' to a TEXT operand");
+  }
   const double x = a.asReal();
   const double y = b.asReal();
   switch (op) {
@@ -107,54 +112,64 @@ bool truthy(const Value& v) {
   return !v.asText().empty();
 }
 
-Value evaluate(const Expr& e, const Tuple& tuple) {
+namespace {
+
+/// The one expression evaluator. `view` answers the only two questions that
+/// differ between the places an expression is evaluated: what a Column reads
+/// (view.column) and what an Aggregate reads (view.aggregate). The views are
+/// TupleView and LaneView below and GroupView beside the aggregation state.
+/// Everything else is evaluated lazily, one row at a time: And/Or
+/// short-circuit, IN with a NULL left side evaluates no items, and IN stops
+/// at its first match, so an expression gives the same value, or the same
+/// error, wherever it appears.
+template <class View>
+Value eval(const Expr& e, const View& view) {
   switch (e.kind) {
     case Expr::Kind::Literal:
     case Expr::Kind::Param:  // bind() stored the parameter value in `value`
       return e.value;
-    case Expr::Kind::Column: {
-      const Row* row = tuple.at(e.bound_table);
-      if (row == nullptr) throw SqlError("internal: unbound tuple slot");
-      return row->at(e.bound_col);
-    }
+    case Expr::Kind::Column:
+      return view.column(e);
+    case Expr::Kind::Aggregate:
+      return view.aggregate(e);
     case Expr::Kind::Binary: {
       switch (e.op) {
         case BinaryOp::And: {
-          if (!truthy(evaluate(*e.lhs, tuple))) return Value(std::int64_t{0});
-          return Value(std::int64_t{truthy(evaluate(*e.rhs, tuple)) ? 1 : 0});
+          if (!truthy(eval(*e.lhs, view))) return Value(std::int64_t{0});
+          return Value(std::int64_t{truthy(eval(*e.rhs, view)) ? 1 : 0});
         }
         case BinaryOp::Or: {
-          if (truthy(evaluate(*e.lhs, tuple))) return Value(std::int64_t{1});
-          return Value(std::int64_t{truthy(evaluate(*e.rhs, tuple)) ? 1 : 0});
+          if (truthy(eval(*e.lhs, view))) return Value(std::int64_t{1});
+          return Value(std::int64_t{truthy(eval(*e.rhs, view)) ? 1 : 0});
         }
         case BinaryOp::Add:
         case BinaryOp::Sub:
         case BinaryOp::Mul:
         case BinaryOp::Div:
-          return arith(e.op, evaluate(*e.lhs, tuple), evaluate(*e.rhs, tuple));
+          return arith(e.op, eval(*e.lhs, view), eval(*e.rhs, view));
         default:
-          return compare(e.op, evaluate(*e.lhs, tuple), evaluate(*e.rhs, tuple));
+          return compare(e.op, eval(*e.lhs, view), eval(*e.rhs, view));
       }
     }
     case Expr::Kind::Not:
-      return Value(std::int64_t{truthy(evaluate(*e.lhs, tuple)) ? 0 : 1});
+      return Value(std::int64_t{truthy(eval(*e.lhs, view)) ? 0 : 1});
     case Expr::Kind::IsNull: {
-      const bool is_null = evaluate(*e.lhs, tuple).isNull();
+      const bool is_null = eval(*e.lhs, view).isNull();
       return Value(std::int64_t{(is_null != e.negated) ? 1 : 0});
     }
     case Expr::Kind::Like: {
-      const Value v = evaluate(*e.lhs, tuple);
+      const Value v = eval(*e.lhs, view);
       if (v.isNull()) return Value(std::int64_t{0});
       const bool hit = likeMatch(v.isText() ? v.asText() : v.toDisplayString(),
                                  e.value.asText());
       return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
     }
     case Expr::Kind::InList: {
-      const Value v = evaluate(*e.lhs, tuple);
+      const Value v = eval(*e.lhs, view);
       if (v.isNull()) return Value(std::int64_t{0});
       bool hit = false;
       for (const ExprPtr& item : e.list) {
-        if (v.compare(evaluate(*item, tuple)) == 0) {
+        if (v.compare(eval(*item, view)) == 0) {
           hit = true;
           break;
         }
@@ -162,7 +177,7 @@ Value evaluate(const Expr& e, const Tuple& tuple) {
       return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
     }
     case Expr::Kind::InSelect: {
-      const Value v = evaluate(*e.lhs, tuple);
+      const Value v = eval(*e.lhs, view);
       if (v.isNull()) return Value(std::int64_t{0});
       if (!e.subquery_values) {
         throw SqlError("internal: subquery was not materialized");
@@ -172,16 +187,45 @@ Value evaluate(const Expr& e, const Tuple& tuple) {
       const bool hit = e.subquery_values->contains(key);
       return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
     }
-    case Expr::Kind::Aggregate:
-      throw SqlError("aggregate used outside of an aggregating SELECT");
   }
   throw SqlError("internal: bad expression kind");
 }
 
-Value evalConst(const Expr& e) {
-  static const Tuple kEmpty;
-  return evaluate(e, kEmpty);
-}
+/// What an Aggregate reads in every view but a finished group's.
+constexpr const char* kAggregateOutsideGroup =
+    "aggregate used outside of an aggregating SELECT";
+
+/// Tuple view: a row pointer per FROM entry (probe keys, inner-level ON and
+/// WHERE conjuncts, the LEFT JOIN null-row check, UPDATE's SET). Over an
+/// empty tuple it is the empty view of INSERT values and a FROM-less SELECT,
+/// whose column refs the binder and the INSERT resolver already rejected.
+struct TupleView {
+  const Tuple& tuple;
+  const Value& column(const Expr& e) const {
+    const auto t = static_cast<std::size_t>(e.bound_table);
+    if (t >= tuple.size() || tuple[t] == nullptr) {
+      throw SqlError("internal: unbound tuple slot");
+    }
+    return tuple[t]->at(static_cast<std::size_t>(e.bound_col));
+  }
+  static Value aggregate(const Expr&) { throw SqlError(kAggregateOutsideGroup); }
+};
+
+/// Lane view: lane `lane` of a batch of joined rows, whose columns are every
+/// FROM entry's columns in FROM order (a table-0 batch below the join is the
+/// prefix, and its conjuncts bind table 0 only).
+struct LaneView {
+  const RowBatch& batch;
+  std::uint32_t lane;
+  const Value& column(const Expr& e) const {
+    return batch.cols.at(static_cast<std::size_t>(e.bound_flat))[lane];
+  }
+  static Value aggregate(const Expr&) { throw SqlError(kAggregateOutsideGroup); }
+};
+
+}  // namespace
+
+Value evaluate(const Expr& e, const Tuple& tuple) { return eval(e, TupleView{tuple}); }
 
 // ---------------------------------------------------------------------------
 // Binding / analysis
@@ -276,8 +320,8 @@ void collectAggregates(Expr* e, std::vector<Expr*>& out) {
   for (const ExprPtr& item : e->list) collectAggregates(item.get(), out);
 }
 
-/// Calls `fn` on every column ref in `e`. Subqueries are not entered: they
-/// bind against their own FROM list.
+}  // namespace
+
 void forEachColumn(const Expr* e, const std::function<void(const Expr&)>& fn) {
   if (e == nullptr) return;
   if (e->kind == Expr::Kind::Column) fn(*e);
@@ -286,19 +330,11 @@ void forEachColumn(const Expr* e, const std::function<void(const Expr&)>& fn) {
   for (const ExprPtr& item : e->list) forEachColumn(item.get(), fn);
 }
 
-bool containsAggregate(const Expr* e) {
-  if (e == nullptr) return false;
-  if (e->kind == Expr::Kind::Aggregate) return true;
-  if (containsAggregate(e->lhs.get()) || containsAggregate(e->rhs.get())) return true;
-  for (const ExprPtr& item : e->list) {
-    if (containsAggregate(item.get())) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
 // Expression walking (parameter binding)
 // ---------------------------------------------------------------------------
+
+namespace {
 
 void forEachExpr(SelectStmt& sel, const std::function<void(Expr&)>& fn);
 
@@ -402,81 +438,20 @@ struct Group {
   std::vector<AggState> aggs;
 };
 
-/// Evaluates an expression in grouped mode: Aggregate nodes read their
-/// accumulated slot; everything else evaluates against the group's first
-/// input row (SQLite-style bare-column semantics).
-Value evaluateGrouped(const Expr& e, const Group& g) {
-  if (e.kind == Expr::Kind::Aggregate) {
-    return g.aggs.at(e.agg_slot).result(e.agg);
+/// Group view: a finished group's first input row (SQLite-style bare-column
+/// semantics) and its aggregate slots. The empty-input group of a fully
+/// aggregated SELECT has no row: its column refs read NULL.
+struct GroupView {
+  const Group& group;
+  const Value& column(const Expr& e) const {
+    static const Value kNull;
+    if (group.first_row.empty()) return kNull;
+    return group.first_row.at(static_cast<std::size_t>(e.bound_flat));
   }
-  switch (e.kind) {
-    case Expr::Kind::Literal:
-    case Expr::Kind::Param:
-      return e.value;
-    case Expr::Kind::Column:
-      return g.first_row.at(static_cast<std::size_t>(e.bound_flat));
-    case Expr::Kind::Binary: {
-      switch (e.op) {
-        case BinaryOp::And:
-          return Value(std::int64_t{truthy(evaluateGrouped(*e.lhs, g)) &&
-                                            truthy(evaluateGrouped(*e.rhs, g))
-                                        ? 1
-                                        : 0});
-        case BinaryOp::Or:
-          return Value(std::int64_t{truthy(evaluateGrouped(*e.lhs, g)) ||
-                                            truthy(evaluateGrouped(*e.rhs, g))
-                                        ? 1
-                                        : 0});
-        case BinaryOp::Add:
-        case BinaryOp::Sub:
-        case BinaryOp::Mul:
-        case BinaryOp::Div:
-          return arith(e.op, evaluateGrouped(*e.lhs, g), evaluateGrouped(*e.rhs, g));
-        default:
-          return compare(e.op, evaluateGrouped(*e.lhs, g), evaluateGrouped(*e.rhs, g));
-      }
-    }
-    case Expr::Kind::Not:
-      return Value(std::int64_t{truthy(evaluateGrouped(*e.lhs, g)) ? 0 : 1});
-    case Expr::Kind::IsNull: {
-      const bool is_null = evaluateGrouped(*e.lhs, g).isNull();
-      return Value(std::int64_t{(is_null != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::Like: {
-      const Value v = evaluateGrouped(*e.lhs, g);
-      if (v.isNull()) return Value(std::int64_t{0});
-      const bool hit = likeMatch(v.isText() ? v.asText() : v.toDisplayString(),
-                                 e.value.asText());
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::InList: {
-      const Value v = evaluateGrouped(*e.lhs, g);
-      if (v.isNull()) return Value(std::int64_t{0});
-      bool hit = false;
-      for (const ExprPtr& item : e.list) {
-        if (v.compare(evaluateGrouped(*item, g)) == 0) {
-          hit = true;
-          break;
-        }
-      }
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::InSelect: {
-      const Value v = evaluateGrouped(*e.lhs, g);
-      if (v.isNull()) return Value(std::int64_t{0});
-      if (!e.subquery_values) {
-        throw SqlError("internal: subquery was not materialized");
-      }
-      EncodedKey key;
-      encodeValue(v, key);
-      const bool hit = e.subquery_values->contains(key);
-      return Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-    }
-    case Expr::Kind::Aggregate:
-      break;  // handled above
+  Value aggregate(const Expr& e) const {
+    return group.aggs.at(static_cast<std::size_t>(e.agg_slot)).result(e.agg);
   }
-  throw SqlError("internal: bad grouped expression");
-}
+};
 
 /// Output rows with their ORDER BY keys, as the blocking operators buffer
 /// them.
@@ -485,34 +460,27 @@ using KeyedRows = std::vector<std::pair<Row, std::vector<Value>>>;
 /// Appends group `g`'s output row and ORDER BY keys unless HAVING rejects it.
 void emitGroup(const SelectPlan& plan, const Group& g, KeyedRows& out) {
   const SelectStmt& sel = *plan.sel;
-  if (sel.having && !truthy(evaluateGrouped(*sel.having, g))) return;
+  const GroupView view{g};
+  if (sel.having && !truthy(eval(*sel.having, view))) return;
   Row row;
   row.reserve(plan.outputs.size());
   for (const SelectPlan::OutputCol& col : plan.outputs) {
-    row.push_back(evaluateGrouped(*col.expr, g));
+    row.push_back(eval(*col.expr, view));
   }
   std::vector<Value> keys;
   keys.reserve(sel.order_by.size());
   for (const OrderItem& item : sel.order_by) {
-    keys.push_back(evaluateGrouped(*item.expr, g));
+    keys.push_back(eval(*item.expr, view));
   }
   out.emplace_back(std::move(row), std::move(keys));
 }
 
-/// The one row a fully-aggregated SELECT yields over zero input rows. Bare
-/// column refs are undefined over an empty input; they report NULL.
+/// The one group a fully-aggregated SELECT (no GROUP BY) forms over zero
+/// input rows.
 void emitEmptyInput(const SelectPlan& plan, KeyedRows& out) {
   Group empty;
   empty.aggs.resize(plan.aggregates.size());
-  Row row;
-  for (const SelectPlan::OutputCol& col : plan.outputs) {
-    if (containsAggregate(col.expr) || col.expr->kind == Expr::Kind::Literal) {
-      row.push_back(evaluateGrouped(*col.expr, empty));
-    } else {
-      row.push_back(Value::null());
-    }
-  }
-  out.emplace_back(std::move(row), std::vector<Value>{});
+  emitGroup(plan, empty, out);
 }
 
 /// Moves up to `cap` buffered rows, from `pos` on, into `b`; false once
@@ -865,173 +833,6 @@ ExecCounters& execCounters() {
   return *c;
 }
 
-// ---------------------------------------------------------------------------
-// Vectorized expression evaluation
-//
-// evalRows() is the batch twin of evaluate(): it computes `e` for every row
-// index in `sel` against a batch of joined rows — every FROM entry's columns
-// concatenated in FROM order, so Column refs resolve through bound_flat (a
-// table-0 batch below the join is the prefix, and its conjuncts bind table 0
-// only). `out` is sized to the batch and only the `sel` lanes are written.
-// And/Or evaluate the right side only on the lanes the scalar evaluator
-// would have reached, so the two agree even on expressions that throw (e.g.
-// an InSelect whose subquery was never materialized).
-// ---------------------------------------------------------------------------
-
-void evalRows(const Expr& e, const RowBatch& b,
-              const std::vector<std::uint32_t>& sel, std::vector<Value>& out) {
-  out.resize(b.nrows);
-  switch (e.kind) {
-    case Expr::Kind::Literal:
-    case Expr::Kind::Param:
-      for (const std::uint32_t i : sel) out[i] = e.value;
-      return;
-    case Expr::Kind::Column: {
-      const std::vector<Value>& col =
-          b.cols.at(static_cast<std::size_t>(e.bound_flat));
-      for (const std::uint32_t i : sel) out[i] = col[i];
-      return;
-    }
-    case Expr::Kind::Binary: {
-      switch (e.op) {
-        case BinaryOp::And: {
-          std::vector<Value> lhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          std::vector<std::uint32_t> live;
-          live.reserve(sel.size());
-          for (const std::uint32_t i : sel) {
-            if (truthy(lhs[i])) {
-              live.push_back(i);
-            } else {
-              out[i] = Value(std::int64_t{0});
-            }
-          }
-          std::vector<Value> rhs;
-          evalRows(*e.rhs, b, live, rhs);
-          for (const std::uint32_t i : live) {
-            out[i] = Value(std::int64_t{truthy(rhs[i]) ? 1 : 0});
-          }
-          return;
-        }
-        case BinaryOp::Or: {
-          std::vector<Value> lhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          std::vector<std::uint32_t> live;
-          live.reserve(sel.size());
-          for (const std::uint32_t i : sel) {
-            if (truthy(lhs[i])) {
-              out[i] = Value(std::int64_t{1});
-            } else {
-              live.push_back(i);
-            }
-          }
-          std::vector<Value> rhs;
-          evalRows(*e.rhs, b, live, rhs);
-          for (const std::uint32_t i : live) {
-            out[i] = Value(std::int64_t{truthy(rhs[i]) ? 1 : 0});
-          }
-          return;
-        }
-        case BinaryOp::Add:
-        case BinaryOp::Sub:
-        case BinaryOp::Mul:
-        case BinaryOp::Div: {
-          std::vector<Value> lhs;
-          std::vector<Value> rhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          evalRows(*e.rhs, b, sel, rhs);
-          for (const std::uint32_t i : sel) out[i] = arith(e.op, lhs[i], rhs[i]);
-          return;
-        }
-        default: {
-          std::vector<Value> lhs;
-          std::vector<Value> rhs;
-          evalRows(*e.lhs, b, sel, lhs);
-          evalRows(*e.rhs, b, sel, rhs);
-          for (const std::uint32_t i : sel) out[i] = compare(e.op, lhs[i], rhs[i]);
-          return;
-        }
-      }
-    }
-    case Expr::Kind::Not: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      for (const std::uint32_t i : sel) {
-        out[i] = Value(std::int64_t{truthy(lhs[i]) ? 0 : 1});
-      }
-      return;
-    }
-    case Expr::Kind::IsNull: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      for (const std::uint32_t i : sel) {
-        out[i] = Value(std::int64_t{(lhs[i].isNull() != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::Like: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      const std::string_view pattern = e.value.asText();
-      for (const std::uint32_t i : sel) {
-        const Value& v = lhs[i];
-        if (v.isNull()) {
-          out[i] = Value(std::int64_t{0});
-          continue;
-        }
-        const bool hit =
-            likeMatch(v.isText() ? v.asText() : v.toDisplayString(), pattern);
-        out[i] = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::InList: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      std::vector<std::vector<Value>> items(e.list.size());
-      for (std::size_t k = 0; k < e.list.size(); ++k) {
-        evalRows(*e.list[k], b, sel, items[k]);
-      }
-      for (const std::uint32_t i : sel) {
-        if (lhs[i].isNull()) {
-          out[i] = Value(std::int64_t{0});
-          continue;
-        }
-        bool hit = false;
-        for (const std::vector<Value>& item : items) {
-          if (lhs[i].compare(item[i]) == 0) {
-            hit = true;
-            break;
-          }
-        }
-        out[i] = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::InSelect: {
-      std::vector<Value> lhs;
-      evalRows(*e.lhs, b, sel, lhs);
-      for (const std::uint32_t i : sel) {
-        if (lhs[i].isNull()) {
-          out[i] = Value(std::int64_t{0});
-          continue;
-        }
-        if (!e.subquery_values) {
-          throw SqlError("internal: subquery was not materialized");
-        }
-        EncodedKey key;
-        encodeValue(lhs[i], key);
-        const bool hit = e.subquery_values->contains(key);
-        out[i] = Value(std::int64_t{(hit != e.negated) ? 1 : 0});
-      }
-      return;
-    }
-    case Expr::Kind::Aggregate:
-      throw SqlError("aggregate used outside of an aggregating SELECT");
-  }
-  throw SqlError("internal: bad expression kind");
-}
-
 /// Produces the candidate rows of one FROM entry for the current binding of
 /// the earlier tuple slots. produced() counts rows emitted since open().
 /// Like RowOp, the public surface wraps virtual do*() hooks so EXPLAIN
@@ -1167,6 +968,20 @@ class IndexEqualIter : public SlotIter {
   std::optional<Database::IndexCursor> cur_;
 };
 
+/// The keys of an IN-list probe over `tuple`, sorted and de-duplicated (one
+/// probe per distinct key, in key order). NULL items are dropped: `col IN
+/// (..., NULL, ...)` never matches on the NULL.
+void inListKeys(const Expr& in_list, const Tuple& tuple, std::vector<Value>& keys) {
+  keys.clear();
+  keys.reserve(in_list.list.size());
+  for (const ExprPtr& item : in_list.list) {
+    Value v = evaluate(*item, tuple);
+    if (!v.isNull()) keys.push_back(std::move(v));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
 /// Sorted multi-point probe: one B+-tree descent per distinct key, in key
 /// order, instead of a heap scan with per-row membership.
 class IndexInListIter : public SlotIter {
@@ -1179,19 +994,7 @@ class IndexInListIter : public SlotIter {
     produced_ = 0;
     cur_.reset();
     next_key_ = 0;
-    keys_.clear();
-    keys_.reserve(path_->in_list->list.size());
-    for (const ExprPtr& item : path_->in_list->list) {
-      Value v = evaluate(*item, *tuple_);
-      if (!v.isNull()) keys_.push_back(std::move(v));
-    }
-    std::sort(keys_.begin(), keys_.end(),
-              [](const Value& a, const Value& b) { return a.compare(b) < 0; });
-    keys_.erase(std::unique(keys_.begin(), keys_.end(),
-                            [](const Value& a, const Value& b) {
-                              return a.compare(b) == 0;
-                            }),
-                keys_.end());
+    inListKeys(*path_->in_list, *tuple_, keys_);
   }
   bool doNext(RecordId& rid, Row& out) override {
     for (;;) {
@@ -1242,23 +1045,8 @@ class PostingInListIter : public SlotIter {
     pcur_.reset();
     index_.reset();
     next_key_ = 0;
-    keys_.clear();
-    keys_.reserve(path_->in_list->list.size());
-    bool all_int = true;
-    for (const ExprPtr& item : path_->in_list->list) {
-      Value v = evaluate(*item, *tuple_);
-      if (v.isNull()) continue;  // col IN (..., NULL, ...) never matches NULL
-      all_int = all_int && v.isInt();
-      keys_.push_back(std::move(v));
-    }
-    std::sort(keys_.begin(), keys_.end(),
-              [](const Value& a, const Value& b) { return a.compare(b) < 0; });
-    keys_.erase(std::unique(keys_.begin(), keys_.end(),
-                            [](const Value& a, const Value& b) {
-                              return a.compare(b) == 0;
-                            }),
-                keys_.end());
-    if (all_int) {
+    inListKeys(*path_->in_list, *tuple_, keys_);
+    if (std::all_of(keys_.begin(), keys_.end(), [](const Value& v) { return v.isInt(); })) {
       index_ = db_->invidx().ridIndex(entry_->def->name, path_->key_column);
     } else {
       // Mixed-type key list: the manager never saw this probe, count the
@@ -1423,19 +1211,18 @@ class FilterIter : public SlotIter {
     return false;
   }
   /// Only level 0 is pulled batch-at-a-time (every conjunct due there binds
-  /// table 0, so evalRows needs no tuple context); inner join levels are
-  /// stepped per outer row through the tuple-binding path above.
+  /// table 0, so a lane needs no tuple context); inner join levels are
+  /// stepped per outer row through the tuple-binding path above. Each
+  /// conjunct compacts the selection vector in place.
   bool doNextBatch(RowBatch& b) override {
     for (;;) {
       if (!child_->nextBatch(b)) return false;
       for (const Expr* e : conjuncts_) {
-        if (b.sel.empty()) break;
-        evalRows(*e, b, b.sel, eval_scratch_);
-        sel_scratch_.clear();
+        std::size_t kept = 0;
         for (const std::uint32_t i : b.sel) {
-          if (truthy(eval_scratch_[i])) sel_scratch_.push_back(i);
+          if (truthy(eval(*e, LaneView{b, i}))) b.sel[kept++] = i;
         }
-        b.sel.swap(sel_scratch_);
+        b.sel.resize(kept);
       }
       // A batch whose selection vector emptied stays internal: loop for the
       // next child batch rather than emitting a zero-row batch upstream.
@@ -1467,8 +1254,6 @@ class FilterIter : public SlotIter {
   Tuple* tuple_;
   std::size_t slot_;
   bool is_on_;
-  std::vector<Value> eval_scratch_;
-  std::vector<std::uint32_t> sel_scratch_;
 };
 
 // ---------------------------------------------------------------------------
@@ -1477,7 +1262,7 @@ class FilterIter : public SlotIter {
 
 /// Pull-based nested-loop join that emits batches of joined rows: a lane is
 /// one joined tuple whose columns are every FROM entry's columns in FROM
-/// order (see evalRows); only the plan's read_cols are filled, the rest stay
+/// order (read through Expr::bound_flat); only the plan's read_cols are filled, the rest stay
 /// empty. Table 0 arrives in batches from its scan/filter chain; per outer
 /// lane the inner levels are stepped row-at-a-time through their access
 /// paths, depth-first, so lanes come out in tuple-at-a-time nested-loop
@@ -1793,7 +1578,7 @@ class ConstRowOp : public RowOp {
     Row row;
     row.reserve(plan_->outputs.size());
     for (const SelectPlan::OutputCol& out : plan_->outputs) {
-      row.push_back(evalConst(*out.expr));
+      row.push_back(evaluate(*out.expr, {}));
     }
     b.reset(row.size(), 0);
     b.appendMoveValues(row);
@@ -1865,15 +1650,13 @@ class ProjectOp : public RowOp {
       return;
     }
     out.reserve(in_.sel.size());
-    evalRows(e, in_, in_.sel, eval_scratch_);
-    for (const std::uint32_t i : in_.sel) out.push_back(std::move(eval_scratch_[i]));
+    for (const std::uint32_t i : in_.sel) out.push_back(eval(e, LaneView{in_, i}));
   }
 
   std::unique_ptr<NestedLoop> src_;
   SelectPlan* plan_;
   std::size_t batch_rows_;
   RowBatch in_;
-  std::vector<Value> eval_scratch_;
 };
 
 /// The group keys and aggregate arguments of a plan over the live lanes of
@@ -1912,7 +1695,8 @@ class GroupInputs {
     if (e.kind == Expr::Kind::Column) {
       return b.cols[static_cast<std::size_t>(e.bound_flat)];
     }
-    evalRows(e, b, b.sel, scratch);
+    scratch.resize(b.nrows);
+    for (const std::uint32_t i : b.sel) scratch[i] = eval(e, LaneView{b, i});
     return scratch;
   }
 
@@ -2676,7 +2460,8 @@ class GatherOp : public RowOp {
       if (plan_->sole_column[c]) {
         cols[c].swap(in.cols[static_cast<std::size_t>(e.bound_flat)]);
       } else {
-        evalRows(e, in, in.sel, cols[c]);
+        cols[c].resize(in.nrows);
+        for (const std::uint32_t i : in.sel) cols[c][i] = eval(e, LaneView{in, i});
       }
     }
     auto cmp = [this](const Entry& a, const Entry& b) { return entryBefore(a, b); };

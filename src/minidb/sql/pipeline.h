@@ -57,14 +57,19 @@ struct ResultSet;
 /// One joined tuple: a row pointer per FROM-list entry (null = not yet bound).
 using Tuple = std::vector<const Row*>;
 
-/// Evaluates an expression against a (possibly partially bound) tuple.
+/// Evaluates `e` over a tuple of row pointers: the tuple view of the one
+/// expression evaluator in pipeline.cpp, whose other views read one lane of
+/// a joined RowBatch or a finished group. An empty tuple is the empty view
+/// (INSERT values, a FROM-less SELECT), where no column ref may appear.
+/// And/Or and IN evaluate lazily, in every view alike.
 Value evaluate(const Expr& e, const Tuple& tuple);
 
 /// SQL truthiness: NULL and zero are false, everything else true.
 bool truthy(const Value& v);
 
-/// Evaluates an expression with no row context (INSERT values).
-Value evalConst(const Expr& e);
+/// Calls `fn` on every column ref in `e`. Subqueries are not entered: they
+/// bind against their own FROM list.
+void forEachColumn(const Expr* e, const std::function<void(const Expr&)>& fn);
 
 /// Copies `params` into every Param node of the statement.
 void bindParamValues(Statement& stmt, const std::vector<Value>& params);

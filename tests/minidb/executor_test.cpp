@@ -561,5 +561,196 @@ TEST_F(NameResolutionTest, OnlySchemaChangesCountAsRevalidations) {
   EXPECT_TRUE(db_->verifyIntegrity().empty());
 }
 
+/// One expression, one answer: every position the SQL layer evaluates an
+/// expression in gives the same value (or the same error) for the same row.
+/// Over `t`, both rows have a NULL `n` and a TEXT `s`, so `s + 1` fails
+/// wherever it is reached.
+class EvaluatorAgreementTest : public ::testing::Test {
+ protected:
+  EvaluatorAgreementTest() : db_(Database::openMemory()), sql_(*db_) {
+    sql_.exec("CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER, s TEXT, v INTEGER)");
+    sql_.exec("INSERT INTO t (id, n, s) VALUES (1, NULL, 'a'), (2, NULL, 'b')");
+    sql_.exec("CREATE TABLE one (k INTEGER)");
+    sql_.exec("INSERT INTO one VALUES (1)");
+  }
+
+  /// One position's answer over the rows of t, in id order: whether the
+  /// expression held ("1 0") and, where the position yields the value
+  /// itself, the typed values ("i1 NULL"); or, in both, the error.
+  struct Answer {
+    std::string truth;
+    std::string values;
+  };
+
+  template <class Fn>
+  static Answer answer(Fn&& fn) {
+    try {
+      return fn();
+    } catch (const std::exception& e) {
+      const std::string error = std::string("error: ") + e.what();
+      return {error, error};
+    }
+  }
+
+  /// A filter position's answer from the ids it listed: the ids it kept, or
+  /// with `removed` the ids that survived its removal.
+  static Answer filtered(const ResultSet& rs, bool removed = false) {
+    Answer a;
+    for (std::int64_t id = 1; id <= 2; ++id) {
+      bool listed = false;
+      for (const Row& row : rs.rows) listed = listed || row.at(0).asInt() == id;
+      a.truth += std::string(a.truth.empty() ? "" : " ") + (listed != removed ? "1" : "0");
+    }
+    return a;
+  }
+
+  /// A value position's answer from its `id, value` rows.
+  static Answer valued(const ResultSet& rs) {
+    Answer a;
+    for (const Row& row : rs.rows) {
+      const Value& v = row.at(1);
+      const std::string sep = a.truth.empty() ? "" : " ";
+      a.truth += sep + (!v.isNull() && v.compare(Value(0)) != 0 ? "1" : "0");
+      a.values += sep + (v.isNull()  ? "NULL"
+                         : v.isInt() ? "i" + v.toDisplayString()
+                         : v.isReal() ? "r" + v.toDisplayString()
+                                      : "'" + v.asText() + "'");
+    }
+    return a;
+  }
+
+  /// Runs `dml` in a transaction that is always rolled back, returning what
+  /// `read` saw in between.
+  ResultSet inRolledBackTxn(const std::string& dml, const std::string& read) {
+    db_->begin();
+    try {
+      sql_.exec(dml);
+      ResultSet rs = sql_.exec(read);
+      db_->rollback();
+      return rs;
+    } catch (...) {
+      db_->rollback();
+      throw;
+    }
+  }
+
+  std::unique_ptr<Database> db_;
+  Engine sql_;
+};
+
+TEST_F(EvaluatorAgreementTest, EveryPositionGivesTheSameAnswer) {
+  struct Case {
+    const char* expr;
+    const char* truth;  // per row of t, or an error message prefix
+  };
+  const Case cases[] = {
+      {"1 IN (1, s + 1)", "1 1"},           // stops at the first match
+      {"n IN (1, s + 1)", "0 0"},           // NULL left side: no item is evaluated
+      {"id = 0 AND s + 1 = 2", "0 0"},      // AND never reaches the right side
+      {"id > 0 OR s + 1 = 2", "1 1"},       // OR never reaches the right side
+      {"id > 0 AND s + 1 = 2", "error: "},  // reached: fails everywhere alike
+      {"id LIKE '1%'", "1 0"},              // LIKE on an integer reads its text
+      {"n IS NULL", "1 1"},
+      {"s IS NULL", "0 0"},
+      {"id / 0", "0 0"},  // division by zero is NULL
+      {"(id / 0) IS NULL", "1 1"},
+      {"id IN (SELECT id FROM t WHERE id > 1)", "0 1"},
+      {"id NOT IN (SELECT id FROM t WHERE id > 1)", "1 0"},
+  };
+  for (const Case& c : cases) {
+    const std::string e = c.expr;
+    const Answer where = answer([&] { return filtered(sql_.exec("SELECT id FROM t WHERE " + e)); });
+    const Answer join =
+        answer([&] { return filtered(sql_.exec("SELECT t.id FROM one, t WHERE " + e)); });
+    const Answer output =
+        answer([&] { return valued(sql_.exec("SELECT id, " + e + " FROM t ORDER BY id")); });
+    const Answer having = answer(
+        [&] { return filtered(sql_.exec("SELECT id FROM t GROUP BY id HAVING " + e)); });
+    const Answer del = answer([&] {
+      return filtered(inRolledBackTxn("DELETE FROM t WHERE " + e, "SELECT id FROM t"),
+                      /*removed=*/true);
+    });
+    const Answer update = answer([&] {
+      return valued(inRolledBackTxn("UPDATE t SET v = " + e, "SELECT id, v FROM t ORDER BY id"));
+    });
+
+    EXPECT_EQ(where.truth.rfind(c.truth, 0), 0u) << e << " -> " << where.truth;
+    EXPECT_EQ(join.truth, where.truth) << e << ": inner-join WHERE vs top-level WHERE";
+    EXPECT_EQ(output.truth, where.truth) << e << ": output column vs top-level WHERE";
+    EXPECT_EQ(having.truth, where.truth) << e << ": HAVING vs top-level WHERE";
+    EXPECT_EQ(del.truth, where.truth) << e << ": DELETE ... WHERE vs top-level WHERE";
+    EXPECT_EQ(update.truth, where.truth) << e << ": UPDATE ... SET vs top-level WHERE";
+    EXPECT_EQ(update.values, output.values) << e << ": UPDATE ... SET vs output column";
+  }
+  // Every rollback restored the table.
+  EXPECT_EQ(sql_.exec("SELECT COUNT(*) FROM t WHERE v IS NULL").rows[0][0].asInt(), 2);
+}
+
+TEST_F(EvaluatorAgreementTest, ArithmeticOnTextIsASqlErrorNamingTheOperator) {
+  for (const char* op : {"+", "-", "*", "/"}) {
+    try {
+      sql_.exec(std::string("SELECT s ") + op + " 1 FROM t");
+      ADD_FAILURE() << "no error for " << op;
+    } catch (const util::SqlError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + op + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  // A NULL operand still makes the result NULL before the type is looked at.
+  EXPECT_TRUE(sql_.exec("SELECT n + s FROM t").rows[0][0].isNull());
+}
+
+TEST_F(EvaluatorAgreementTest, InsertOfAColumnRefIsAnUnknownColumn) {
+  sql_.exec("CREATE TABLE u (a INTEGER, b INTEGER)");
+  for (const char* values : {"(3, k)", "(3, k + 1)", "(3, -(k))"}) {
+    try {
+      sql_.exec(std::string("INSERT INTO u VALUES ") + values);
+      ADD_FAILURE() << "no error for " << values;
+    } catch (const util::SqlError& e) {
+      EXPECT_STREQ(e.what(), "unknown column: k") << values;
+    }
+  }
+  EXPECT_THROW(sql_.prepare("INSERT INTO u VALUES (?, u.b)").execute({Value(1)}),
+               util::SqlError);
+  EXPECT_EQ(sql_.exec("SELECT COUNT(*) FROM u").rows[0][0].asInt(), 0);
+}
+
+/// A fully aggregated SELECT over no input rows yields one row: every
+/// output is evaluated over the empty group, where column refs read NULL
+/// and aggregates their empty state. The parallel merge shares the path.
+TEST_F(EvaluatorAgreementTest, EmptyInputAggregateRowEvaluatesEveryOutput) {
+  PreparedStatement ins = sql_.prepare("INSERT INTO t (id, n, s) VALUES (?, ?, 'x')");
+  for (int i = 3; i <= 3000; ++i) ins.execute({Value(i), Value(i)});
+  sql_.setOption("exec_min_pages", 1);
+  const std::string query =
+      "SELECT 7, 1 + 1, -3, count(*), id, sum(n) + 1, id IS NULL FROM t WHERE id > 5000";
+  for (const int threads : {1, 4}) {
+    sql_.setOption("exec_threads", threads);
+    const std::string plan = planText(sql_.exec("EXPLAIN " + query));
+    EXPECT_EQ(plan.find("GATHER") != std::string::npos, threads > 1) << plan;
+    const ResultSet rs = sql_.exec(query);
+    ASSERT_EQ(rs.rows.size(), 1u) << threads;
+    const Row& row = rs.rows[0];
+    EXPECT_EQ(row[0].asInt(), 7);
+    EXPECT_EQ(row[1].asInt(), 2) << "same as over a non-empty input";
+    EXPECT_EQ(row[2].asInt(), -3);
+    EXPECT_EQ(row[3].asInt(), 0);
+    EXPECT_TRUE(row[4].isNull());
+    EXPECT_TRUE(row[5].isNull());
+    EXPECT_EQ(row[6].asInt(), 1);
+    // A bound parameter output keeps its value.
+    const ResultSet bound =
+        sql_.prepare("SELECT ?, count(*) FROM t WHERE id > 5000").execute({Value("p")});
+    ASSERT_EQ(bound.rows.size(), 1u);
+    EXPECT_EQ(bound.rows[0][0].asText(), "p");
+    // HAVING applies to the empty group like to any other.
+    EXPECT_TRUE(
+        sql_.exec("SELECT count(*) FROM t WHERE id > 5000 HAVING count(*) > 0").rows.empty());
+    EXPECT_EQ(sql_.exec("SELECT count(*) FROM t WHERE id > 5000 HAVING count(*) = 0")
+                  .rows.size(),
+              1u);
+  }
+}
+
 }  // namespace
 }  // namespace perftrack::minidb::sql

@@ -141,6 +141,37 @@ TEST_F(ServerTest, SqlErrorsComeBackTyped) {
   EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM ok"), 0);
 }
 
+TEST_F(ServerTest, ExpressionMistakesComeBackAsSqlErrors) {
+  auto conn = connect();
+  conn->exec("CREATE TABLE u (a INTEGER, s TEXT)");
+  conn->exec("INSERT INTO u VALUES (1, 'x')");
+  // A column ref in INSERT values names nothing: ErrCode::Sql, not Internal.
+  try {
+    conn->exec("INSERT INTO u VALUES (3, k)");
+    ADD_FAILURE() << "INSERT of a column ref succeeded";
+  } catch (const util::SqlError& e) {
+    EXPECT_STREQ(e.what(), "unknown column: k");
+  }
+  // Arithmetic on TEXT is a SQL mistake (ErrCode::Sql), not an I/O or
+  // integrity failure (ErrCode::Storage), materialized or streamed.
+  try {
+    conn->exec("SELECT s + 1 FROM u");
+    ADD_FAILURE() << "TEXT arithmetic succeeded";
+  } catch (const util::SqlError& e) {
+    EXPECT_NE(std::string(e.what()).find("'+'"), std::string::npos) << e.what();
+  }
+  try {
+    auto cur = conn->query("SELECT a FROM u WHERE s * 2 > 0");
+    minidb::Row row;
+    while (cur.next(row)) {
+    }
+    ADD_FAILURE() << "TEXT arithmetic succeeded";
+  } catch (const util::SqlError& e) {
+    EXPECT_NE(std::string(e.what()).find("'*'"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(conn->queryInt("SELECT COUNT(*) FROM u"), 1);
+}
+
 TEST_F(ServerTest, BusyStatementFallbackExecDuringOpenCursor) {
   // exec()/execPrepared() on a statement whose remote cursor is still
   // streaming must not re-enter it (the server-side statement would throw
